@@ -48,6 +48,7 @@ from .properties import (
     check_weak_monotonicity,
     directional_derivative,
     lehmer_bound_table,
+    named_aggregator,
 )
 from .transforms import compose, dual, internal_switch_example, phi_transform
 from .pgm import GrayImage, PgmError, read_pgm, write_pgm

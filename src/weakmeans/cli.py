@@ -7,92 +7,22 @@ printed), 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import location, means, pgm, tonal
-from .means import Interval
-from .properties import CHECKS, Aggregator, SamplerConfig, lehmer_bound_table
-
-NONNEG = Interval(0.0, math.inf)
-REALS = Interval(-math.inf, math.inf)
+from . import pgm, tonal
+from .properties import CHECKS, SamplerConfig, lehmer_bound_table, named_aggregator
 
 
-def _parse_weights(spec: str) -> np.ndarray:
+def _parse_weights(spec: str | None) -> np.ndarray | None:
+    if not spec:
+        return None
     try:
         return np.array([float(v) for v in spec.split(",")])
     except ValueError as exc:
         raise ValueError(f"bad weight list {spec!r}") from exc
-
-
-def build_aggregator(name: str, args) -> Aggregator:
-    """Resolve a mean/estimator name plus its CLI parameters to a handle."""
-    w = _parse_weights(args.weights) if getattr(args, "weights", None) else None
-    simple = {
-        "mean": (means.arithmetic_mean, REALS, {"monotone", "shift-invariant"}),
-        "arithmetic": (means.arithmetic_mean, REALS, {"monotone", "shift-invariant"}),
-        "median": (means.median, REALS, {"monotone", "shift-invariant"}),
-        "midrange": (means.midrange, REALS, {"monotone", "shift-invariant"}),
-        "mode": (location.mode, REALS, {"shift-invariant"}),
-        "shorth": (location.shorth, REALS, {"shift-invariant"}),
-        "lms": (location.lms, REALS, {"shift-invariant"}),
-        "lts": (location.lts, REALS, {"shift-invariant"}),
-        "density": (location.density_mean, REALS, {"shift-invariant"}),
-    }
-    if name in simple:
-        fn, domain, known = simple[name]
-        return Aggregator(fn=fn, domain=domain, known=frozenset(known), name=name)
-    if name == "lehmer":
-        q = _require_param(args, "q")
-        return Aggregator(
-            fn=lambda x: means.lehmer_mean(x, q), domain=NONNEG, name=f"lehmer(q={q:g})"
-        )
-    if name == "gini":
-        p, q = _require_param(args, "p"), _require_param(args, "q")
-        return Aggregator(
-            fn=lambda x: means.gini_mean(x, p, q, w),
-            domain=NONNEG,
-            name=f"gini(p={p:g},q={q:g})",
-        )
-    if name == "power":
-        p = _require_param(args, "p")
-        return Aggregator(
-            fn=lambda x: means.power_mean(x, p, w),
-            domain=NONNEG,
-            known=frozenset({"monotone"}),
-            name=f"power(p={p:g})",
-        )
-    if name == "owa":
-        if w is None:
-            raise ValueError("owa requires --weights")
-        return Aggregator(
-            fn=lambda x: means.owa(x, w),
-            domain=REALS,
-            arity=w.size,
-            known=frozenset({"monotone", "shift-invariant"}),
-            name="owa",
-        )
-    if name == "owa-penalty":
-        if w is None:
-            raise ValueError("owa-penalty requires --weights")
-        return Aggregator(
-            fn=lambda x: location.owa_penalty_estimator(x, w),
-            domain=REALS,
-            arity=w.size,
-            known=frozenset({"shift-invariant"}),
-            name="owa-penalty",
-        )
-    raise ValueError(f"unknown mean {name!r}")
-
-
-def _require_param(args, attr: str) -> float:
-    value = getattr(args, attr, None)
-    if value is None:
-        raise ValueError(f"this mean requires --{attr}")
-    return float(value)
 
 
 def _read_values(args) -> np.ndarray:
@@ -107,7 +37,7 @@ def _read_values(args) -> np.ndarray:
 
 
 def cmd_aggregate(args) -> int:
-    agg = build_aggregator(args.name, args)
+    agg = named_aggregator(args.name, q=args.q, p=args.p, weights=_parse_weights(args.weights))
     x = _read_values(args)
     print(f"{agg(x):.12g}")
     return 0
@@ -116,7 +46,7 @@ def cmd_aggregate(args) -> int:
 def cmd_check(args) -> int:
     if args.property not in CHECKS:
         raise ValueError(f"unknown property {args.property!r}; choose from {sorted(CHECKS)}")
-    agg = build_aggregator(args.name, args)
+    agg = named_aggregator(args.name, q=args.q, p=args.p, weights=_parse_weights(args.weights))
     cfg = SamplerConfig(
         samples=args.samples,
         seed=args.seed,

@@ -111,7 +111,7 @@ def owa_penalty(delta: ArrayLike) -> PenaltySpec:
         r2 = np.sort((xs - y) ** 2)
         return float(np.dot(d, r2))
 
-    return PenaltySpec(whole=whole, convexity="lower-semicontinuous")
+    return PenaltySpec(whole=whole)
 
 
 def owa_penalty_estimator(

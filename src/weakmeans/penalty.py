@@ -26,20 +26,16 @@ class PenaltySpec:
     """Penalty P(x, y) >= c with equality iff all x_i = y.
 
     Either ``term`` (vectorized per-input terms, summed) or ``whole`` (full
-    penalty) must be given.  ``convexity`` declares the class used by the
-    minimizer: "quasi-convex" or "lower-semicontinuous".
+    penalty) must be given.
     """
 
     term: Callable[[np.ndarray, float], np.ndarray] | None = None
     whole: Callable[[np.ndarray, float], float] | None = None
     constant: float = 0.0
-    convexity: str = "quasi-convex"
 
     def __post_init__(self):
         if (self.term is None) == (self.whole is None):
             raise ValueError("exactly one of term/whole must be provided")
-        if self.convexity not in ("quasi-convex", "lower-semicontinuous"):
-            raise ValueError(f"unknown convexity class {self.convexity!r}")
 
     def evaluate(self, x: np.ndarray, y: float) -> float:
         x = np.asarray(x, dtype=float)
@@ -159,23 +155,20 @@ def mixture_penalty(w_fn: Callable[[np.ndarray], np.ndarray]) -> PenaltySpec:
             raise ValueError("weight function must be non-negative")
         return w * (xs - y) ** 2
 
-    return PenaltySpec(term=term, convexity="quasi-convex")
+    return PenaltySpec(term=term)
 
 
 def least_squares_penalty() -> PenaltySpec:
-    return PenaltySpec(term=lambda xs, y: (xs - y) ** 2, convexity="quasi-convex")
+    return PenaltySpec(term=lambda xs, y: (xs - y) ** 2)
 
 
 def absolute_penalty() -> PenaltySpec:
-    return PenaltySpec(term=lambda xs, y: np.abs(xs - y), convexity="quasi-convex")
+    return PenaltySpec(term=lambda xs, y: np.abs(xs - y))
 
 
 def mode_penalty() -> PenaltySpec:
     """Counting quasi-penalty: 0 for matching inputs, 1 otherwise."""
-    return PenaltySpec(
-        term=lambda xs, y: (xs != y).astype(float),
-        convexity="lower-semicontinuous",
-    )
+    return PenaltySpec(term=lambda xs, y: (xs != y).astype(float))
 
 
 def shifted_penalty_value(P: PenaltySpec, x, a: float, y: float) -> float:

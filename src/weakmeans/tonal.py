@@ -91,6 +91,25 @@ def _huber(t: np.ndarray, delta: float) -> np.ndarray:
     return np.where(a <= delta, 0.5 * t**2, delta * (a - 0.5 * delta))
 
 
+def _tonal_weights(window, center_value: float, cfg: FilterConfig,
+                   spatial: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The window as floats and its combined weights spatial * tonal(|x_i - f|),
+    f the center estimate."""
+    window = np.asarray(window, dtype=float)
+    if spatial is None:
+        spatial = cfg.spatial_weights()
+    if window.shape != spatial.shape:
+        raise ValueError("window and spatial weights must have equal length")
+    f = center_estimate(window, center_value, cfg)
+    return window, spatial * cfg.tonal(np.abs(window - f))
+
+
+def _weighted_penalty(u: np.ndarray, cfg: FilterConfig) -> PenaltySpec:
+    if cfg.dissimilarity == "squared":
+        return PenaltySpec(term=lambda xs, y: u * (xs - y) ** 2)
+    return PenaltySpec(whole=lambda xs, y: float(np.dot(u, _huber(xs - y, cfg.huber_delta))))
+
+
 def filter_pixel(
     window: Sequence[float] | np.ndarray,
     center_value: float,
@@ -99,34 +118,19 @@ def filter_pixel(
 ) -> float:
     """Filter one pixel from its row-major window.
 
-    The combined weights are spatial * tonal(|x_i - f|) with f the center
-    estimate; squared dissimilarity gives the closed-form weighted mean,
-    huber the penalty-engine argmin over [min(window), max(window)].
+    Squared dissimilarity gives the closed-form weighted mean, huber the
+    penalty-engine argmin over [min(window), max(window)].
     """
-    window = np.asarray(window, dtype=float)
-    if spatial is None:
-        spatial = cfg.spatial_weights()
-    if window.shape != spatial.shape:
-        raise ValueError("window and spatial weights must have equal length")
-    f = center_estimate(window, center_value, cfg)
-    u = spatial * cfg.tonal(np.abs(window - f))
+    window, u = _tonal_weights(window, center_value, cfg, spatial)
     if cfg.dissimilarity == "squared":
         return float(np.dot(u, window) / u.sum())
-    P = PenaltySpec(whole=lambda xs, y: float(np.dot(u, _huber(xs - y, cfg.huber_delta))))
-    return minimize_penalty(P, window, MinimizerConfig(grid_points=65))
+    return minimize_penalty(_weighted_penalty(u, cfg), window, MinimizerConfig(grid_points=65))
 
 
 def tonal_penalty(window: np.ndarray, center_value: float, cfg: FilterConfig,
                   spatial: np.ndarray | None = None) -> PenaltySpec:
     """The per-pixel penalty sum u_i D(x_i - y) made explicit for cross-checks."""
-    window = np.asarray(window, dtype=float)
-    if spatial is None:
-        spatial = cfg.spatial_weights()
-    f = center_estimate(window, center_value, cfg)
-    u = spatial * cfg.tonal(np.abs(window - f))
-    if cfg.dissimilarity == "squared":
-        return PenaltySpec(term=lambda xs, y: u * (xs - y) ** 2)
-    return PenaltySpec(whole=lambda xs, y: float(np.dot(u, _huber(xs - y, cfg.huber_delta))))
+    return _weighted_penalty(_tonal_weights(window, center_value, cfg, spatial)[1], cfg)
 
 
 def filter_image(img: GrayImage, cfg: FilterConfig) -> GrayImage:

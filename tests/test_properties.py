@@ -22,8 +22,8 @@ from weakmeans import (
     median,
     power_mean,
 )
-from weakmeans import location
-from weakmeans.properties import PropertyReport, lehmer_aggregator
+from weakmeans import location, means
+from weakmeans.properties import CHECKS, PropertyReport, named_aggregator
 
 FAST = SamplerConfig(samples=4000, seed=0)
 
@@ -36,6 +36,14 @@ MEAN = Aggregator(
 MEDIAN = Aggregator(median, domain=Interval(-math.inf, math.inf), name="median")
 MODE = Aggregator(location.mode, domain=Interval(-math.inf, math.inf), name="mode")
 SHORTH = Aggregator(location.shorth, domain=Interval(-math.inf, math.inf), name="shorth")
+WOBBLE = Aggregator(
+    lambda x: float(np.mean(x) + 0.1 * math.sin(np.mean(x))),
+    domain=Interval(-math.inf, math.inf),
+    name="wobble",
+)
+MEAN_PLUS = Aggregator(
+    lambda x: float(np.mean(x)) + 0.1, domain=Interval(-math.inf, math.inf), name="mean+0.1"
+)
 
 
 def test_weak_monotonicity_monotone_means_pass():
@@ -44,7 +52,7 @@ def test_weak_monotonicity_monotone_means_pass():
 
 
 def test_weak_monotonicity_lehmer_violation():
-    report = check_weak_monotonicity(lehmer_aggregator(1.0), n=3, cfg=FAST)
+    report = check_weak_monotonicity(named_aggregator("lehmer", q=1.0), n=3, cfg=FAST)
     assert report.violated
     x = np.array(report.witness["x"])
     a = report.witness["a"]
@@ -58,7 +66,7 @@ def test_weak_monotonicity_lehmer_violation():
 
 def test_weak_monotonicity_probe_points():
     report = check_weak_monotonicity(
-        lehmer_aggregator(1.0),
+        named_aggregator("lehmer", q=1.0),
         n=3,
         cfg=SamplerConfig(samples=10, probe_points=[((1.0, 0.0, 0.0), 0.1)]),
     )
@@ -70,34 +78,94 @@ def test_weak_monotonicity_probe_points():
     )
 
 
+def _shifted(w):
+    return np.asarray(w["x"]) + w["a"]
+
+
+# property -> (violating aggregator, arity, value fields recomputed from the witness)
+WITNESS_CASES = {
+    "monotone": (MODE, 7, lambda F, w: {
+        "value_before": F(w["x"]), "value_after": F(w["y"])}),
+    "weakly-monotone": (named_aggregator("lehmer", q=1.0), 3, lambda F, w: {
+        "value_before": F(w["x"]), "value_after": F(_shifted(w))}),
+    "shift-invariant": (named_aggregator("lehmer", q=1.0), 2, lambda F, w: {
+        "value_before": F(w["x"]), "value_after": F(_shifted(w)),
+        "expected_after": F(w["x"]) + w["a"]}),
+    "homogeneous": (WOBBLE, 3, lambda F, w: {
+        "value": F(w["x"]), "scaled_value": F(w["lambda"] * np.asarray(w["x"])),
+        "expected": w["lambda"] * F(w["x"])}),
+    "idempotent": (MEAN_PLUS, 4, lambda F, w: {"value": F(np.full(4, w["t"]))}),
+    "averaging": (MEAN_PLUS, 3, lambda F, w: {"value": F(w["x"])}),
+    "internal": (MEAN, 2, lambda F, w: {"value": F(w["x"])}),
+}
+
+
+@pytest.mark.parametrize("prop", sorted(WITNESS_CASES))
+def test_every_witness_replays_exactly(prop):
+    F, n, replay = WITNESS_CASES[prop]
+    report = CHECKS[prop](F, n=n, cfg=FAST)
+    assert report.violated and report.property == prop
+    replayed = replay(F, report.witness)
+    assert {k: report.witness[k] for k in replayed} == replayed
+
+
+def test_probe_points_apply_to_every_property():
+    report = check_monotonicity(
+        named_aggregator("lehmer", q=1.0),
+        n=3,
+        cfg=SamplerConfig(samples=10, probe_points=[((1.0, 0.0, 0.0), (1.0, 0.1, 0.0))]),
+    )
+    assert report.violated and report.samples_used == 1
+    assert report.witness["x"] == [1.0, 0.0, 0.0]
+    assert report.witness["y"] == [1.0, 0.1, 0.0]
+
+
+def test_probe_of_another_arity_is_skipped():
+    cfg = SamplerConfig(samples=1, probe_points=[((1.0, 0.0, 0.0), 0.1)])
+    report = check_weak_monotonicity(named_aggregator("lehmer", q=1.0), n=2, cfg=cfg)
+    assert not report.violated
+    assert (report.samples_used, report.samples_skipped) == (1, 1)
+
+
+def test_skipped_samples_are_counted_not_tested():
+    calls = []
+
+    def counted_mean(x):
+        calls.append(1)
+        return float(np.mean(x))
+
+    F = Aggregator(counted_mean, domain=Interval(0.0, 1.0), name="unit-mean")
+    report = check_weak_monotonicity(F, n=2, cfg=SamplerConfig(samples=2000, seed=0))
+    assert not report.violated and report.samples_used == 2000
+    assert report.samples_skipped > 0  # clipping at hi = 1 leaves a <= 0
+    assert len(calls) == 2 * (report.samples_used - report.samples_skipped)
+    assert PropertyReport(**report.to_dict()) == report
+    assert f"skipped={report.samples_skipped}" in report.to_text()
+
+
 def test_monotonicity_checks():
     assert not check_monotonicity(MEDIAN, n=5, cfg=FAST).violated
     assert check_monotonicity(MODE, n=7, cfg=FAST).violated
-    assert check_monotonicity(lehmer_aggregator(2.0), n=2, cfg=FAST).violated
+    assert check_monotonicity(named_aggregator("lehmer", q=2.0), n=2, cfg=FAST).violated
 
 
 def test_shift_invariance_checks():
     assert not check_shift_invariance(SHORTH, n=5, cfg=FAST).violated
     assert not check_shift_invariance(MEAN, n=3, cfg=FAST).violated
-    report = check_shift_invariance(lehmer_aggregator(1.0), n=2, cfg=FAST)
+    report = check_shift_invariance(named_aggregator("lehmer", q=1.0), n=2, cfg=FAST)
     assert report.violated
     # hand witness: L1(1,2)+1 = 8/3 but L1(2,3) = 13/5
     assert lehmer_mean([2, 3], 1) != pytest.approx(lehmer_mean([1, 2], 1) + 1)
 
 
 def test_homogeneity_checks():
-    assert not check_homogeneity(lehmer_aggregator(2.5), n=4, cfg=FAST).violated
+    assert not check_homogeneity(named_aggregator("lehmer", q=2.5), n=4, cfg=FAST).violated
     assert not check_homogeneity(MEDIAN, n=3, cfg=FAST).violated
-    wobble = Aggregator(
-        lambda x: float(np.mean(x) + 0.1 * math.sin(np.mean(x))),
-        domain=Interval(-math.inf, math.inf),
-        name="wobble",
-    )
-    assert check_homogeneity(wobble, n=3, cfg=FAST).violated
+    assert check_homogeneity(WOBBLE, n=3, cfg=FAST).violated
 
 
 def test_idempotency_averaging_internality():
-    for agg in (MEAN, MEDIAN, SHORTH, lehmer_aggregator(1.5)):
+    for agg in (MEAN, MEDIAN, SHORTH, named_aggregator("lehmer", q=1.5)):
         assert not check_idempotency(agg, n=4, cfg=FAST).violated
         assert not check_averaging(agg, n=4, cfg=FAST).violated
     assert not check_internality(MEDIAN, n=5, cfg=FAST).violated
@@ -109,7 +177,7 @@ def test_directional_derivative():
     n = 4
     val = directional_derivative(MEAN, np.array([0.3, 0.5, 0.2, 0.9]))
     assert val == pytest.approx(1 / math.sqrt(n), rel=1e-6)
-    assert directional_derivative(lehmer_aggregator(1.0), np.array([1.0, 0.0, 0.0])) < 0
+    assert directional_derivative(named_aggregator("lehmer", q=1.0), np.array([1.0, 0.0, 0.0])) < 0
     assert directional_derivative(SHORTH, np.array([0.1, 0.2, 0.8, 0.85, 0.9])) == (
         pytest.approx(1 / math.sqrt(5), rel=1e-6)
     )
@@ -152,8 +220,38 @@ def test_lehmer_bound_table():
             assert r["empirical"] == "no-violation-found"
 
 
+def test_lehmer_bound_table_keeps_probe_points():
+    cfg = SamplerConfig(samples=1, probe_points=[((1.0, 0.0, 0.0), 0.1)])
+    rows = lehmer_bound_table([1.0], 3, cfg)
+    by_n = {r["n"]: r for r in rows}
+    assert by_n[2]["empirical"] == "no-violation-found"  # the probe has arity 3
+    assert by_n[3]["empirical"] == "violated"
+    assert by_n[3]["witness"]["x"] == [1.0, 0.0, 0.0]
+
+
+def test_named_aggregator_registry():
+    F = named_aggregator("lehmer", q=2)
+    assert F.name == "lehmer(q=2)" and F.domain == Interval(0.0, math.inf)
+    assert F([1.0, 0.5]) == lehmer_mean([1.0, 0.5], 2.0)
+    assert named_aggregator("gini", p=1, q=2).name == "gini(p=1,q=2)"
+    owa = named_aggregator("owa", weights=[0.5, 0.3, 0.2])
+    assert owa.arity == 3 and "monotone" in owa.known and owa.name == "owa"
+    with pytest.raises(ValueError, match="--q"):
+        named_aggregator("lehmer")
+    with pytest.raises(ValueError, match="--weights"):
+        named_aggregator("owa-penalty")
+    with pytest.raises(ValueError, match="unknown mean"):
+        named_aggregator("nosuchmean")
+
+
+def test_named_aggregator_looks_functions_up_at_call_time(monkeypatch):
+    F = named_aggregator("lehmer", q=1.0)
+    monkeypatch.setattr(means, "lehmer_mean", lambda x, q: -1.0)
+    assert F([1.0, 2.0]) == -1.0
+
+
 def test_report_serialization_roundtrip():
-    report = check_weak_monotonicity(lehmer_aggregator(1.0), n=3, cfg=FAST)
+    report = check_weak_monotonicity(named_aggregator("lehmer", q=1.0), n=3, cfg=FAST)
     data = report.to_dict()
     clone = PropertyReport(**data)
     assert clone.to_json() == report.to_json()
