@@ -63,6 +63,14 @@ def _norm_weights(w: ArrayLike | None, n: int) -> np.ndarray:
     return w / total
 
 
+def _weighted_part(x: np.ndarray, weights: ArrayLike | None) -> tuple[np.ndarray, np.ndarray]:
+    """Components with positive weight and their normalized weights; a
+    zero-weight component takes no part, not even in the zero conventions."""
+    w = _norm_weights(weights, x.size)
+    keep = w > 0
+    return x[keep], w[keep]
+
+
 def arithmetic_mean(x: ArrayLike) -> float:
     return float(np.mean(_as_input(x)))
 
@@ -71,11 +79,11 @@ def power_mean(x: ArrayLike, p: float, weights: ArrayLike | None = None) -> floa
     """Weighted power mean (sum w_i x_i^p)^(1/p).
 
     p=0 is the weighted geometric mean (log-generator limit), p=+/-inf the
-    max/min.  Inputs must be non-negative; a zero component absorbs the mean
-    to 0 for p <= 0.
+    max/min.  Inputs must be non-negative; a zero component with positive
+    weight absorbs the mean to 0 for p <= 0.  Zero-weight components are
+    ignored.
     """
-    x = _require_nonnegative(_as_input(x))
-    w = _norm_weights(weights, x.size)
+    x, w = _weighted_part(_require_nonnegative(_as_input(x)), weights)
     if math.isinf(p):
         return float(x.max()) if p > 0 else float(x.min())
     if p == 0:
@@ -175,11 +183,11 @@ def gini_mean(
 ) -> float:
     """Two-parameter Gini mean (sum w x^(p+q) / sum w x^q)^(1/p).
 
-    p=0 uses the log-generator limit.  Zero components follow the same limit
-    conventions as the Lehmer mean: dropped for q>0, absorbing for q<0.
+    p=0 uses the log-generator limit.  Zero components with positive weight
+    follow the same limit conventions as the Lehmer mean: dropped for q>0,
+    absorbing for q<0.  Zero-weight components are ignored.
     """
-    x = _require_nonnegative(_as_input(x))
-    w = _norm_weights(weights, x.size)
+    x, w = _weighted_part(_require_nonnegative(_as_input(x)), weights)
     if q < 0:
         if np.any(x == 0):
             return 0.0

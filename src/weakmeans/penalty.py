@@ -3,7 +3,8 @@
 A mean is the argmin over y of a penalty P(x, y); when the minimiser set is
 not a single point the infimum (leftmost minimiser) is reported.  The
 minimizer scans a dense grid augmented with all input values as mandatory
-candidates, then refines around every grid-global minimum with golden-section
+candidates (one broadcast call per block of candidates for ``term``
+penalties), then refines around every grid-global minimum with golden-section
 search in the adjacent cells.
 """
 
@@ -19,6 +20,10 @@ from .means import Interval, _as_input
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+# Elements (candidates x inputs) of one broadcast ``term`` call in
+# ``PenaltySpec.evaluate_many``; bounds each temporary of the scan to 0.5 MB
+# whatever the number of inputs.
+_SCAN_BLOCK = 1 << 16
 
 
 @dataclass
@@ -26,10 +31,13 @@ class PenaltySpec:
     """Penalty P(x, y) >= c with equality iff all x_i = y.
 
     Either ``term`` (vectorized per-input terms, summed) or ``whole`` (full
-    penalty) must be given.
+    penalty) must be given.  ``term`` must broadcast: called with x of shape
+    (1, n) and y an (m, 1) column of candidates it returns the (m, n) terms,
+    row k being the terms at y[k], so one call scans m candidates.  ``whole``
+    is called with one scalar y at a time.
     """
 
-    term: Callable[[np.ndarray, float], np.ndarray] | None = None
+    term: Callable[[np.ndarray, float | np.ndarray], np.ndarray] | None = None
     whole: Callable[[np.ndarray, float], float] | None = None
     constant: float = 0.0
 
@@ -42,6 +50,19 @@ class PenaltySpec:
         if self.term is not None:
             return float(np.sum(self.term(x, y)))
         return float(self.whole(x, y))
+
+    def evaluate_many(self, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """P(x, y) for every y in ys; equal, bit for bit, to ``evaluate``
+        called once per y."""
+        x = np.asarray(x, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        if self.term is None:
+            return np.array([self.evaluate(x, float(y)) for y in ys])
+        rows = max(1, _SCAN_BLOCK // x.size)
+        out = np.empty(ys.size)
+        for i in range(0, ys.size, rows):
+            out[i : i + rows] = np.sum(self.term(x[None, :], ys[i : i + rows, None]), axis=1)
+        return out
 
 
 @dataclass
@@ -106,7 +127,7 @@ def minimize_penalty(
     grid = np.linspace(lo, hi, cfg.grid_points)
     cand = np.concatenate([grid, x, np.asarray(cfg.extra_candidates, dtype=float)])
     cand = np.unique(cand[(cand >= lo) & (cand <= hi)])
-    vals = np.array([P.evaluate(x, float(y)) for y in cand])
+    vals = P.evaluate_many(x, cand)
     if not np.all(np.isfinite(vals)):
         raise ValueError("penalty produced non-finite values on the bracket")
 

@@ -81,6 +81,10 @@ def named_aggregator(
     for param in entry.params:
         if given[param] is None:
             raise ValueError(f"{name} requires --{param}")
+    takes = (*entry.params, "weights") if entry.weighted else entry.params
+    for param, value in given.items():
+        if value is not None and param not in takes:
+            raise ValueError(f"{name} takes no --{param}")
     scalars = {k: float(given[k]) for k in entry.params if k != "weights"}
     args = [w if k == "weights" else scalars[k] for k in entry.params]
     if entry.weighted:

@@ -3,8 +3,9 @@
 Per-pixel weighted averages combining precomputed spatial proximity weights
 with a tonal kernel applied to intensity differences from a center estimate.
 With the squared dissimilarity the output is the closed-form weighted mean
-(the bilateral filter when the center estimate is the center pixel); other
-dissimilarities are minimized through the penalty engine.
+(the bilateral filter when the center estimate is the center pixel); the
+Huber dissimilarity is minimized exactly by a breakpoint search, with the
+penalty engine over ``tonal_penalty`` as its reference.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import location
 from .means import Interval, median
-from .penalty import MinimizerConfig, PenaltySpec, minimize_penalty
+from .penalty import PenaltySpec
 from .pgm import GrayImage
 
 TONAL_KERNELS = ("gaussian", "cauchy")
@@ -91,6 +92,30 @@ def _huber(t: np.ndarray, delta: float) -> np.ndarray:
     return np.where(a <= delta, 0.5 * t**2, delta * (a - 0.5 * delta))
 
 
+def huber_argmin(x: np.ndarray, u: np.ndarray, delta: float) -> float:
+    """Leftmost minimiser of y -> sum u_i H_delta(x_i - y) on [min x, max x].
+
+    The derivative g(y) = sum u_i clip(y - x_i, -delta, delta) is continuous,
+    nondecreasing and linear between the breakpoints x_i +/- delta, so its
+    leftmost root lies in the segment that ends at the first breakpoint
+    where g >= 0.  Inside a plateau g rounds to about -1e-17 instead of 0,
+    so values within tau = 1e-12 delta sum(u) of 0 count as 0.
+    """
+    lo, hi = float(x.min()), float(x.max())
+    if lo == hi:
+        return lo
+    b = np.sort(np.concatenate([x - delta, x + delta, [lo, hi]]))
+    b = b[(b >= lo) & (b <= hi)]
+    g = np.clip(b[:, None] - x[None, :], -delta, delta) @ u
+    k = int(np.argmax(g >= -1e-12 * delta * u.sum()))
+    if k == 0:
+        return lo
+    # linear root in [b[k-1], b[k]]; a g[k] in [-tau, 0) puts it past b[k],
+    # and the cut to b[k] counts that g[k] as 0
+    g0, g1 = g[k - 1], g[k]
+    return min(float(b[k - 1] + (b[k] - b[k - 1]) * (g0 / (g0 - g1))), float(b[k]))
+
+
 def _tonal_weights(window, center_value: float, cfg: FilterConfig,
                    spatial: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """The window as floats and its combined weights spatial * tonal(|x_i - f|),
@@ -104,12 +129,6 @@ def _tonal_weights(window, center_value: float, cfg: FilterConfig,
     return window, spatial * cfg.tonal(np.abs(window - f))
 
 
-def _weighted_penalty(u: np.ndarray, cfg: FilterConfig) -> PenaltySpec:
-    if cfg.dissimilarity == "squared":
-        return PenaltySpec(term=lambda xs, y: u * (xs - y) ** 2)
-    return PenaltySpec(whole=lambda xs, y: float(np.dot(u, _huber(xs - y, cfg.huber_delta))))
-
-
 def filter_pixel(
     window: Sequence[float] | np.ndarray,
     center_value: float,
@@ -119,18 +138,22 @@ def filter_pixel(
     """Filter one pixel from its row-major window.
 
     Squared dissimilarity gives the closed-form weighted mean, huber the
-    penalty-engine argmin over [min(window), max(window)].
+    exact leftmost argmin over [min(window), max(window)].
     """
     window, u = _tonal_weights(window, center_value, cfg, spatial)
     if cfg.dissimilarity == "squared":
         return float(np.dot(u, window) / u.sum())
-    return minimize_penalty(_weighted_penalty(u, cfg), window, MinimizerConfig(grid_points=65))
+    return huber_argmin(window, u, cfg.huber_delta)
 
 
 def tonal_penalty(window: np.ndarray, center_value: float, cfg: FilterConfig,
                   spatial: np.ndarray | None = None) -> PenaltySpec:
-    """The per-pixel penalty sum u_i D(x_i - y) made explicit for cross-checks."""
-    return _weighted_penalty(_tonal_weights(window, center_value, cfg, spatial)[1], cfg)
+    """The per-pixel penalty sum u_i D(x_i - y) made explicit; minimised by
+    the penalty engine it is the reference for ``filter_pixel``."""
+    u = _tonal_weights(window, center_value, cfg, spatial)[1]
+    if cfg.dissimilarity == "squared":
+        return PenaltySpec(term=lambda xs, y: u * (xs - y) ** 2)
+    return PenaltySpec(term=lambda xs, y: u * _huber(xs - y, cfg.huber_delta))
 
 
 def filter_image(img: GrayImage, cfg: FilterConfig) -> GrayImage:

@@ -44,6 +44,19 @@ def test_aggregate_missing_param(capsys):
     assert code == 2 and "--q" in err
 
 
+def test_aggregate_rejects_parameters_the_mean_does_not_take(capsys):
+    code, out, err = run(capsys, "aggregate", "mean", "--weights", "1,2", "--", "3", "1", "2")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: mean takes no --weights"
+    code, _, err = run(capsys, "aggregate", "lehmer", "--q", "1", "--p", "2", "--", "1", "2")
+    assert code == 2 and "lehmer takes no --p" in err
+    code, _, err = run(capsys, "check", "monotone", "median", "--q", "1", "--n", "3")
+    assert code == 2 and "median takes no --q" in err
+    # power takes --p and the optional --weights
+    code, out, _ = run(capsys, "aggregate", "power", "--p", "1", "--weights", "1,3", "--", "0", "4")
+    assert code == 0 and float(out) == 3
+
+
 def test_check_weak_monotone_lehmer_violated(capsys):
     code, out, _ = run(
         capsys, "check", "weakly-monotone", "lehmer", "--q", "1", "--n", "3",

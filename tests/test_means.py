@@ -44,6 +44,31 @@ def test_power_mean_values():
         power_mean([-1, 2], 0.5)
 
 
+def test_zero_weight_component_takes_no_part():
+    # a zero with zero weight must not absorb the mean (p <= 0, q < 0) ...
+    assert power_mean([0, 1], -1, weights=[0, 1]) == 1.0
+    assert power_mean([0, 1], 0, weights=[0, 1]) == 1.0
+    assert gini_mean([0, 1], 1, -1, weights=[0, 1]) == 1.0
+    assert gini_mean([0, 1], 0, -1, weights=[0, 1]) == 1.0
+    assert gini_mean([0, 2], -1, 0, weights=[0, 1]) == 2.0
+    # ... nor decide a max or min
+    assert power_mean([5, 1], math.inf, weights=[0, 1]) == 1.0
+    assert power_mean([0, 1], -math.inf, weights=[0, 1]) == 1.0
+    # a zero with positive weight still does
+    assert power_mean([0, 1], -1, weights=[1, 1]) == 0.0
+    assert gini_mean([0, 1], 1, -1, weights=[1e-9, 1]) == 0.0
+    # and a zero-weight component changes nothing anywhere
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        x = rng.uniform(0.1, 5.0, 4)
+        w = rng.uniform(0.1, 1.0, 4)
+        x0, w0 = np.append(x, 0.0), np.append(w, 0.0)
+        for p in (-2.0, -1.0, 0.0, 0.5, 2.0):
+            assert power_mean(x0, p, w0) == pytest.approx(power_mean(x, p, w), rel=1e-12)
+            for q in (-1.5, 0.0, 1.0):
+                assert gini_mean(x0, p, q, w0) == pytest.approx(gini_mean(x, p, q, w), rel=1e-12)
+
+
 def test_quasi_arithmetic_mean():
     assert quasi_arithmetic_mean([1, 2, 3], lambda t: t, lambda t: t) == 2
     geom = quasi_arithmetic_mean([1, 4], np.log, math.exp)

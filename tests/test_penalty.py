@@ -17,6 +17,7 @@ from weakmeans.penalty import (
     mode_penalty,
     sublevel_convexity_check,
 )
+from weakmeans.tonal import FilterConfig, tonal_penalty
 
 
 def brute_force_argmin(P, x, points=200001):
@@ -26,6 +27,30 @@ def brute_force_argmin(P, x, points=200001):
     vals = np.array([P.evaluate(x, float(y)) for y in ys])
     best = vals.min()
     return float(ys[vals <= best + 1e-12 * max(1.0, abs(best))][0])
+
+
+def library_term_penalties(x):
+    specs = [least_squares_penalty(), absolute_penalty(), mode_penalty(),
+             mixture_penalty(lambda t: t), mixture_penalty(lambda t: t * t),
+             mixture_penalty(np.exp), mixture_penalty(lambda t: np.ones_like(t))]
+    spatial = np.ones(x.size)
+    for dissimilarity in ("squared", "huber"):
+        cfg = FilterConfig(dissimilarity=dissimilarity, estimator="median")
+        specs.append(tonal_penalty(x, x[0], cfg, spatial))
+    return specs
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 40, 5000])
+def test_evaluate_many_is_bit_identical_to_evaluate(n):
+    rng = np.random.default_rng(n)
+    x = np.round(rng.uniform(0.1, 3.0, n), 2)  # repeated values for the mode penalty
+    ys = np.concatenate([np.linspace(x.min(), x.max(), 37), x[:20]])
+    for P in library_term_penalties(x):
+        want = np.array([P.evaluate(x, float(y)) for y in ys])
+        assert np.array_equal(P.evaluate_many(x, ys), want)
+    whole = PenaltySpec(whole=lambda xs, y: float(np.max(np.abs(xs - y))))
+    assert np.array_equal(whole.evaluate_many(x, ys), [whole.evaluate(x, float(y)) for y in ys])
+    assert least_squares_penalty().evaluate_many(x, []).shape == (0,)
 
 
 def test_golden_section_quadratic():

@@ -23,7 +23,7 @@ from weakmeans import (
     power_mean,
 )
 from weakmeans import location, means
-from weakmeans.properties import CHECKS, PropertyReport, named_aggregator
+from weakmeans.properties import AGGREGATORS, CHECKS, PropertyReport, named_aggregator
 
 FAST = SamplerConfig(samples=4000, seed=0)
 
@@ -242,6 +242,18 @@ def test_named_aggregator_registry():
         named_aggregator("owa-penalty")
     with pytest.raises(ValueError, match="unknown mean"):
         named_aggregator("nosuchmean")
+
+
+@pytest.mark.parametrize("name", sorted(AGGREGATORS))
+def test_named_aggregator_rejects_parameters_it_does_not_take(name):
+    entry = AGGREGATORS[name]
+    takes = set(entry.params) | ({"weights"} if entry.weighted else set())
+    needed = {"q": 1.0, "p": 1.0, "weights": [1.0, 1.0]}
+    required = {k: needed[k] for k in entry.params}
+    for extra in set(needed) - takes:
+        with pytest.raises(ValueError, match=f"^{name} takes no --{extra}$"):
+            named_aggregator(name, **required, **{extra: needed[extra]})
+    named_aggregator(name, **{k: needed[k] for k in takes})  # every taken one is accepted
 
 
 def test_named_aggregator_looks_functions_up_at_call_time(monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 
 from weakmeans import FilterConfig, GrayImage, filter_image, filter_pixel, minimize_penalty
 from weakmeans.penalty import MinimizerConfig
-from weakmeans.tonal import center_estimate, tonal_penalty
+from weakmeans.tonal import ESTIMATORS, center_estimate, huber_argmin, tonal_penalty
 
 
 def step_edge(size=32, lo=0.2, hi=0.8):
@@ -108,6 +108,78 @@ def test_huber_dissimilarity_path():
     assert 0.19 <= out <= 0.25  # outlier influence bounded
     # constant windows are a fixpoint of the huber path too
     assert filter_pixel(np.full(9, 0.3), 0.3, cfg) == pytest.approx(0.3, abs=1e-9)
+
+
+def huber_slope(x, u, delta, y):
+    """sum u_i clip(y - x_i, -delta, delta): the derivative of the Huber objective."""
+    return float(np.clip(y - x, -delta, delta) @ u)
+
+
+def oracle_windows(seed=0, count=60):
+    """Random 3x3 windows and 4-level-quantized ones (ties and plateaus)."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        yield rng.uniform(0, 1, 9) if k % 2 == 0 else rng.integers(0, 4, 9) / 3.0
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_huber_exact_solve_matches_penalty_oracle(estimator):
+    for delta in (0.01, 0.1, 0.5):
+        cfg = FilterConfig(radius=1, dissimilarity="huber", huber_delta=delta, estimator=estimator)
+        spatial = cfg.spatial_weights()
+        for win in oracle_windows():
+            got = filter_pixel(win, win[4], cfg, spatial)
+            P = tonal_penalty(win, win[4], cfg, spatial)
+            want = minimize_penalty(P, win)
+            obj, obj_engine = P.evaluate(win, got), P.evaluate(win, want)
+            assert obj <= obj_engine + 1e-12 * max(1.0, obj)
+            assert abs(got - want) <= 1e-6
+            assert win.min() <= got <= win.max()
+
+
+def test_huber_exact_solve_below_engine_tie_tolerance():
+    # the engine treats objectives within 1e-12 as ties and stops 1.07e-6
+    # right of the minimiser here; the exact solve finds the root of the slope
+    win = np.array([0.6838661329165184, 0.18413634608024498, 0.4334844844817811,
+                    0.7182678311466448, 0.279126473165341, 0.23064035666308846,
+                    0.6888343565255592, 0.05762388815658959, 0.8111749608343537])
+    cfg = FilterConfig(radius=1, dissimilarity="huber", huber_delta=0.01, estimator="median")
+    got = filter_pixel(win, win[4], cfg)
+    P = tonal_penalty(win, win[4], cfg)
+    engine = minimize_penalty(P, win)
+    assert P.evaluate(win, got) <= P.evaluate(win, engine)
+    u = cfg.spatial_weights() * cfg.tonal(np.abs(win - center_estimate(win, win[4], cfg)))
+    assert abs(huber_slope(win, u, 0.01, got)) <= 1e-12 * 0.01 * u.sum()
+
+
+def test_huber_plateau_returns_leftmost_minimiser():
+    # two equal-weight clusters more than 2 delta apart: every y in
+    # [a + delta, c - delta] is a minimiser, and a + delta is reported
+    assert huber_argmin(np.array([0.2, 0.7]), np.ones(2), 0.1) == pytest.approx(0.3, abs=1e-12)
+    cfg = FilterConfig(dissimilarity="huber", huber_delta=0.1, estimator="center")
+    assert filter_pixel([0.2, 0.7], 0.45, cfg, spatial=np.ones(2)) == pytest.approx(0.3, abs=1e-12)
+    rng = np.random.default_rng(1)
+    slope_rounds_negative = 0
+    for _ in range(2000):
+        delta = float(rng.choice([0.01, 0.1, 0.5]))
+        m = int(rng.integers(1, 5))
+        a = rng.uniform(0, 1)
+        c = a + 2 * delta + rng.uniform(1e-3, 1)
+        v = rng.uniform(0.1, 1, m)
+        x, u = np.r_[np.full(m, a), np.full(m, c)], np.r_[v, v]
+        assert abs(huber_argmin(x, u, delta) - (a + delta)) <= 1e-12
+        slope_rounds_negative += huber_slope(x, u, delta, a + delta) < 0
+    # the slope at the plateau's left end rounds below 0 on many of these,
+    # so a plain "first breakpoint with slope >= 0" rule would miss them
+    assert slope_rounds_negative > 100
+
+
+def test_huber_constant_window_is_exact():
+    for estimator in ESTIMATORS:
+        for delta in (0.01, 0.1, 0.5):
+            cfg = FilterConfig(dissimilarity="huber", huber_delta=delta, estimator=estimator)
+            for v in (0.0, 0.1, 1 / 3, 0.7, 1.0):
+                assert filter_pixel(np.full(9, v), v, cfg) == v
 
 
 def test_huber_filter_shift_invariance():
