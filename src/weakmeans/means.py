@@ -92,7 +92,12 @@ def power_mean(x: ArrayLike, p: float, weights: ArrayLike | None = None) -> floa
         return float(np.exp(np.dot(w, np.log(x))))
     if p < 0 and np.any(x == 0):
         return 0.0
-    return float(np.dot(w, x**p) ** (1.0 / p))
+    # homogeneity: rescale by the component that dominates x^p, so that no
+    # power overflows or underflows to a zero sum
+    c = x.max() if p > 0 else x.min()
+    if c == 0:
+        return 0.0  # all-zero input, idempotency
+    return float(c * np.dot(w, (x / c) ** p) ** (1.0 / p))
 
 
 def quasi_arithmetic_mean(
@@ -188,26 +193,20 @@ def gini_mean(
     absorbing for q<0.  Zero-weight components are ignored.
     """
     x, w = _weighted_part(_require_nonnegative(_as_input(x)), weights)
+    if q == 0:
+        return power_mean(x, p, w)
     if q < 0:
         if np.any(x == 0):
             return 0.0
-    elif q > 0:
+    else:
         keep = x > 0
         if not np.any(keep):
             return 0.0  # all-zero input, idempotency
         x, w = x[keep], w[keep]
-    if q == 0:
-        return power_mean(x, p, w)
-    if p == 0:
-        if np.any(x == 0):
-            return 0.0
-        wq = w * x**q
-        return float(np.exp(np.dot(wq, np.log(x)) / wq.sum()))
-    if p < 0 and np.any(x == 0):
-        return 0.0
-    num = np.dot(w, x ** (p + q))
-    den = np.dot(w, x**q)
-    return float((num / den) ** (1.0 / p))
+    # the power mean of order p under weights w x^q, rescaled by the
+    # component that dominates x^q so that the weights stay finite
+    c = x.max() if q > 0 else x.min()
+    return power_mean(x, p, w * (x / c) ** q)
 
 
 def lehmer_mean(x: ArrayLike, q: float) -> float:
@@ -226,7 +225,11 @@ def lehmer_mean(x: ArrayLike, q: float) -> float:
         x = x[x > 0]
         if x.size == 0:
             return 0.0
-    return float(np.sum(x ** (q + 1)) / np.sum(x**q))
+    # homogeneity: rescale by the component that dominates x^q
+    c = x.max() if q > 0 else x.min()
+    y = x / c
+    yq = y**q
+    return float(c * (yq.dot(y) / yq.sum()))
 
 
 def lehmer_max_args(q: float) -> float:

@@ -6,18 +6,22 @@ With the squared dissimilarity the output is the closed-form weighted mean
 (the bilateral filter when the center estimate is the center pixel); the
 Huber dissimilarity is minimized exactly by a breakpoint search, with the
 penalty engine over ``tonal_penalty`` as its reference.
+
+``filter_image`` filters every window of an image in row blocks of NumPy
+operations; ``filter_pixel`` filters one window through the scalar
+estimators and is the reference the tests compare the whole-image path with.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import location
-from .means import Interval, median
+from .means import median
 from .penalty import PenaltySpec
 from .pgm import GrayImage
 
@@ -25,6 +29,10 @@ TONAL_KERNELS = ("gaussian", "cauchy")
 ESTIMATORS = ("center", "median", "shorth", "mode")
 DISSIMILARITIES = ("squared", "huber")
 BOUNDARIES = ("mirror", "clamp")
+
+# Elements of the largest temporary of one row block in filter_image: the
+# windows, or for Huber the slopes at 2n+2 breakpoints of each n-value window.
+_FILTER_BLOCK = 2**16
 
 
 @dataclass
@@ -61,12 +69,21 @@ class FilterConfig:
         d2 = (dx**2 + dy**2).astype(float)
         return np.exp(-d2 / (2.0 * self.spatial_sigma**2)).ravel()
 
-    def tonal(self, t: np.ndarray) -> np.ndarray:
-        """Strictly positive, non-increasing kernel of |intensity difference|."""
+    def tonal(self, t: np.ndarray, t0: np.ndarray | float = 0.0) -> np.ndarray:
+        """Non-increasing kernel of |intensity difference| t, divided by its
+        value at t0 <= t (1 at t = t0; t0 = 0 gives the kernel itself).
+
+        The ratio is formed without the kernel values themselves, which
+        underflow to 0 once t / sigma is large: (t - t0)(t + t0) / sigma^2
+        overflows only to inf (weight 0), and the Cauchy ratio is a ratio of
+        hypotenuses, which neither overflow nor vanish.
+        """
         s = self.tonal_sigma
         if self.tonal_kernel == "gaussian":
-            return np.exp(-(t**2) / (2.0 * s**2))
-        return 1.0 / (1.0 + (t / s) ** 2)
+            with np.errstate(over="ignore", invalid="ignore"):
+                e = 0.5 * ((t - t0) / s) * ((t + t0) / s)
+            return np.where(t == t0, 1.0, np.exp(-e))  # 0 * inf at t = t0
+        return (np.hypot(s, t0) / np.hypot(s, t)) ** 2
 
 
 def _anchored_mode(window: np.ndarray, step: float) -> float:
@@ -87,46 +104,94 @@ def center_estimate(window: np.ndarray, center_value: float, cfg: FilterConfig) 
     return _anchored_mode(window, cfg.mode_quantize)
 
 
+def _center_rows(x: np.ndarray, center: np.ndarray, cfg: FilterConfig) -> np.ndarray:
+    """``center_estimate`` of every row of x, an (m, n) array with n odd."""
+    if cfg.estimator == "center":
+        return center
+    m, n = x.shape
+    s = np.sort(x, axis=1)
+    if cfg.estimator == "median":
+        return s[:, n // 2]
+    if cfg.estimator == "shorth":
+        if n < 2:
+            raise ValueError("need at least two values")
+        # location.shorth's rule: the first start among the half-sample
+        # windows within 1e-9 max(1, max|x|) of the shortest
+        half, starts = n // 2, (n + 1) // 2
+        length = s[:, half : half + starts] - s[:, :starts]
+        tol = 1e-9 * np.maximum(1.0, np.abs(s).max(axis=1, keepdims=True))
+        k = np.argmax(length <= length.min(axis=1, keepdims=True) + tol, axis=1)
+        return np.take_along_axis(s, k[:, None] + np.arange(half + 1), axis=1).mean(axis=1)
+    # mode: bins anchored at the row minimum; sorted values give sorted bins,
+    # and the first position that ends the longest run lies in the smallest
+    # of the most frequent bins
+    base = s[:, 0]
+    b = np.round((s - base[:, None]) / cfg.mode_quantize)
+    j = np.arange(n)
+    starts = np.ones((m, n), dtype=bool)
+    starts[:, 1:] = b[:, 1:] != b[:, :-1]
+    run = j - np.maximum.accumulate(np.where(starts, j, 0), axis=1)
+    top = np.argmax(run, axis=1)
+    return base + cfg.mode_quantize * b[np.arange(m), top]
+
+
 def _huber(t: np.ndarray, delta: float) -> np.ndarray:
     a = np.abs(t)
     return np.where(a <= delta, 0.5 * t**2, delta * (a - 0.5 * delta))
 
 
-def huber_argmin(x: np.ndarray, u: np.ndarray, delta: float) -> float:
-    """Leftmost minimiser of y -> sum u_i H_delta(x_i - y) on [min x, max x].
+def huber_argmin(x: np.ndarray, u: np.ndarray, delta: float) -> np.ndarray:
+    """Leftmost minimiser of y -> sum_i u_i H_delta(x_i - y) on [min x, max x]
+    for each window along the last axis of x, with weights u of x's shape.
 
     The derivative g(y) = sum u_i clip(y - x_i, -delta, delta) is continuous,
-    nondecreasing and linear between the breakpoints x_i +/- delta, so its
-    leftmost root lies in the segment that ends at the first breakpoint
-    where g >= 0.  Inside a plateau g rounds to about -1e-17 instead of 0,
-    so values within tau = 1e-12 delta sum(u) of 0 count as 0.
+    nondecreasing and linear between the breakpoints x_i +/- delta (clipped
+    to the window's [min, max]), so its leftmost root lies in the segment
+    that ends at the first breakpoint where g >= 0.  Inside a plateau g
+    rounds to about -1e-17 instead of 0, so values within
+    tau = 1e-12 delta sum(u) of 0 count as 0.
     """
-    lo, hi = float(x.min()), float(x.max())
-    if lo == hi:
-        return lo
-    b = np.sort(np.concatenate([x - delta, x + delta, [lo, hi]]))
-    b = b[(b >= lo) & (b <= hi)]
-    g = np.clip(b[:, None] - x[None, :], -delta, delta) @ u
-    k = int(np.argmax(g >= -1e-12 * delta * u.sum()))
-    if k == 0:
-        return lo
-    # linear root in [b[k-1], b[k]]; a g[k] in [-tau, 0) puts it past b[k],
-    # and the cut to b[k] counts that g[k] as 0
-    g0, g1 = g[k - 1], g[k]
-    return min(float(b[k - 1] + (b[k] - b[k - 1]) * (g0 / (g0 - g1))), float(b[k]))
+    lo = x.min(axis=-1, keepdims=True)
+    hi = x.max(axis=-1, keepdims=True)
+    b = np.sort(np.clip(np.concatenate([x - delta, x + delta, lo, hi], axis=-1), lo, hi), axis=-1)
+    g = (np.clip(b[..., :, None] - x[..., None, :], -delta, delta) * u[..., None, :]).sum(axis=-1)
+    k = np.argmax(g >= -1e-12 * delta * u.sum(axis=-1, keepdims=True), axis=-1)[..., None]
+    k0 = np.maximum(k - 1, 0)
+    b0, b1 = np.take_along_axis(b, k0, -1), np.take_along_axis(b, k, -1)
+    g0, g1 = np.take_along_axis(g, k0, -1), np.take_along_axis(g, k, -1)
+    # linear root in [b0, b1]; k = 0 (b0 = b1 = min x) takes b1.  A g1 in
+    # [-tau, 0) puts the root past b1, and the cut to b1 counts g1 as 0
+    frac = np.divide(g0, g0 - g1, out=np.zeros_like(g0), where=k > 0)
+    return np.minimum(b0 + (b1 - b0) * frac, b1)[..., 0]
 
 
-def _tonal_weights(window, center_value: float, cfg: FilterConfig,
-                   spatial: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The window as floats and its combined weights spatial * tonal(|x_i - f|),
-    f the center estimate."""
+def _tonal_weights(x: np.ndarray, f, cfg: FilterConfig, spatial: np.ndarray) -> np.ndarray:
+    """Combined weights spatial * tonal(|x_i - f|) of windows x (..., n) with
+    center estimates f (...).
+
+    The tonal kernel is divided by its value at the smallest |x_i - f| = t0
+    of positive spatial weight, so that value keeps its spatial weight and
+    the total stays positive where every kernel value would underflow.
+    Weighted mean and Huber argmin do not change under this scaling.  As
+    tonal_sigma tends to 0 the tonal factor tends to 1 at t0 and elsewhere
+    to 0 (gaussian) or (t0 / t)^2 (cauchy).
+    """
+    t = np.abs(x - np.expand_dims(f, -1))
+    t0 = np.where(spatial > 0, t, np.inf).min(axis=-1, keepdims=True)
+    # a value nearer f than t0 has spatial weight 0: any finite kernel will do
+    return spatial * cfg.tonal(np.maximum(t, t0), t0)
+
+
+def _reference_weights(window, center_value: float, cfg: FilterConfig,
+                       spatial: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The window as floats and its weights, centered by ``center_estimate``."""
     window = np.asarray(window, dtype=float)
     if spatial is None:
         spatial = cfg.spatial_weights()
     if window.shape != spatial.shape:
         raise ValueError("window and spatial weights must have equal length")
     f = center_estimate(window, center_value, cfg)
-    return window, spatial * cfg.tonal(np.abs(window - f))
+    return window, _tonal_weights(window, f, cfg, spatial)
 
 
 def filter_pixel(
@@ -140,33 +205,45 @@ def filter_pixel(
     Squared dissimilarity gives the closed-form weighted mean, huber the
     exact leftmost argmin over [min(window), max(window)].
     """
-    window, u = _tonal_weights(window, center_value, cfg, spatial)
+    window, u = _reference_weights(window, center_value, cfg, spatial)
     if cfg.dissimilarity == "squared":
         return float(np.dot(u, window) / u.sum())
-    return huber_argmin(window, u, cfg.huber_delta)
+    return float(huber_argmin(window, u, cfg.huber_delta))
 
 
 def tonal_penalty(window: np.ndarray, center_value: float, cfg: FilterConfig,
                   spatial: np.ndarray | None = None) -> PenaltySpec:
     """The per-pixel penalty sum u_i D(x_i - y) made explicit; minimised by
     the penalty engine it is the reference for ``filter_pixel``."""
-    u = _tonal_weights(window, center_value, cfg, spatial)[1]
+    u = _reference_weights(window, center_value, cfg, spatial)[1]
     if cfg.dissimilarity == "squared":
         return PenaltySpec(term=lambda xs, y: u * (xs - y) ** 2)
     return PenaltySpec(term=lambda xs, y: u * _huber(xs - y, cfg.huber_delta))
 
 
 def filter_image(img: GrayImage, cfg: FilterConfig) -> GrayImage:
-    """Apply the per-pixel filter over every sliding window of the image."""
+    """Filter every sliding window of the image, a block of image rows at a
+    time; each pixel gets the value ``filter_pixel`` gives its window, up to
+    rounding."""
     r = cfg.radius
+    k = 2 * r + 1
+    n = k * k
     pad_mode = "reflect" if cfg.boundary == "mirror" else "edge"
     if r > 0 and min(img.height, img.width) == 1 and pad_mode == "reflect":
         pad_mode = "edge"  # reflect needs at least 2 samples along each axis
-    padded = np.pad(img.pixels, r, mode=pad_mode)
+    windows = sliding_window_view(np.pad(img.pixels, r, mode=pad_mode), (k, k))
     spatial = cfg.spatial_weights()
+    huber = cfg.dissimilarity == "huber"
+    per_row = img.width * n * (2 * n + 2 if huber else 1)
+    rows = max(1, _FILTER_BLOCK // per_row)
     out = np.empty_like(img.pixels)
-    for i in range(img.height):
-        for j in range(img.width):
-            window = padded[i : i + 2 * r + 1, j : j + 2 * r + 1].ravel()
-            out[i, j] = filter_pixel(window, img.pixels[i, j], cfg, spatial)
+    for i in range(0, img.height, rows):
+        x = windows[i : i + rows].reshape(-1, n)
+        f = _center_rows(x, img.pixels[i : i + rows].ravel(), cfg)
+        u = _tonal_weights(x, f, cfg, spatial)
+        if huber:
+            y = huber_argmin(x, u, cfg.huber_delta)
+        else:
+            y = (u * x).sum(axis=1) / u.sum(axis=1)
+        out[i : i + rows] = y.reshape(-1, img.width)
     return GrayImage(pixels=np.clip(out, 0.0, 1.0), maxval=img.maxval)

@@ -208,6 +208,32 @@ def test_lehmer_homogeneity(x, lam, q):
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, lam)
 
 
+EXTREME_MEANS = {
+    "power": lambda x, e: power_mean(x, e),
+    "lehmer": lambda x, e: lehmer_mean(x, e),
+    "gini-p": lambda x, e: gini_mean(x, e, 1.0),
+    "gini-q": lambda x, e: gini_mean(x, 1.0, e),
+    "gini-pq": lambda x, e: gini_mean(x, e, e),
+}
+
+
+@pytest.mark.parametrize("name", EXTREME_MEANS)
+@pytest.mark.parametrize("e", [-300, -100, -1.5, 1.5, 100, 200, 300])
+def test_homogeneous_and_averaging_at_extreme_scales(name, e):
+    # x^e over- or underflows at these scales and exponents unless the mean
+    # is rescaled by its dominating component
+    M = EXTREME_MEANS[name]
+    rng = np.random.default_rng(3)
+    for x in ([1e3, 2e3], [1.0, 2.0], *rng.uniform(0.5, 4.0, (5, 4))):
+        x = np.asarray(x, dtype=float)
+        base = M(x, e)
+        for t in (1e-150, 1e-3, 1e3, 1e150):
+            value = M(t * x, e)
+            assert math.isfinite(value)
+            assert value == pytest.approx(t * base, rel=1e-12)
+            assert t * x.min() * (1 - 1e-12) <= value <= t * x.max() * (1 + 1e-12)
+
+
 def test_reduction_chain_random():
     rng = np.random.default_rng(42)
     for _ in range(500):

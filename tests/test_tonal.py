@@ -1,9 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from weakmeans import FilterConfig, GrayImage, filter_image, filter_pixel, minimize_penalty
 from weakmeans.penalty import MinimizerConfig
-from weakmeans.tonal import ESTIMATORS, center_estimate, huber_argmin, tonal_penalty
+from weakmeans import tonal
+from weakmeans.tonal import (
+    BOUNDARIES,
+    DISSIMILARITIES,
+    ESTIMATORS,
+    TONAL_KERNELS,
+    center_estimate,
+    huber_argmin,
+    tonal_penalty,
+)
 
 
 def step_edge(size=32, lo=0.2, hi=0.8):
@@ -14,7 +25,8 @@ def step_edge(size=32, lo=0.2, hi=0.8):
 
 def noisy_fixture(size=32, seed=0):
     rng = np.random.default_rng(seed)
-    levels = rng.integers(30, 130, size=(size, size))
+    shape = (size, size) if np.isscalar(size) else size
+    levels = rng.integers(30, 130, size=shape)
     return GrayImage(pixels=levels / 255, maxval=255)
 
 
@@ -50,23 +62,38 @@ def test_center_estimators():
     assert center_estimate(win, 0.9, cfg_center) == 0.9
 
 
+def filter_configs(radii=(0, 1, 2), **fixed):
+    """Every estimator x dissimilarity x kernel x boundary x radius, less the
+    fixed ones; shorth needs two values, so radius 0 skips it."""
+    axes = {"estimator": ESTIMATORS, "dissimilarity": DISSIMILARITIES,
+            "tonal_kernel": TONAL_KERNELS, "boundary": BOUNDARIES, "radius": radii}
+    names = [k for k in axes if k not in fixed]
+    for values in itertools.product(*(axes[k] for k in names)):
+        kw = {**fixed, **dict(zip(names, values))}
+        if not (kw["estimator"] == "shorth" and kw["radius"] == 0):
+            yield FilterConfig(**kw)
+
+
 def test_filter_image_constant_fixpoint():
-    img = GrayImage(pixels=np.full((8, 8), 0.6), maxval=255)
-    for estimator in ("center", "median", "shorth", "mode"):
-        out = filter_image(img, FilterConfig(radius=1, estimator=estimator))
-        assert np.allclose(out.pixels, 0.6, atol=1e-12)
+    # square, 1xN and Nx1 (edge padding for mirror), and non-square images
+    for shape in ((8, 8), (1, 5), (5, 1), (3, 7)):
+        img = GrayImage(pixels=np.full(shape, 0.6), maxval=255)
+        for cfg in filter_configs():
+            out = filter_image(img, cfg)
+            assert np.allclose(out.pixels, 0.6, atol=1e-12), cfg
 
 
 @pytest.mark.parametrize("estimator", ["center", "median", "shorth", "mode"])
 def test_filter_image_shift_invariance(estimator):
-    img = noisy_fixture()
     c = 0.3
-    cfg = FilterConfig(radius=1, estimator=estimator, tonal_sigma=0.08)
-    base = filter_image(img, cfg).pixels
-    shifted = filter_image(
-        GrayImage(pixels=img.pixels + c, maxval=img.maxval), cfg
-    ).pixels
-    assert np.max(np.abs(shifted - (base + c))) <= 1e-9
+    for img in (noisy_fixture(), noisy_fixture(size=(7, 13), seed=7),
+                noisy_fixture(size=(1, 9)), noisy_fixture(size=(9, 1))):
+        for cfg in filter_configs(radii=(1, 2), estimator=estimator, tonal_sigma=0.08):
+            base = filter_image(img, cfg).pixels
+            shifted = filter_image(
+                GrayImage(pixels=img.pixels + c, maxval=img.maxval), cfg
+            ).pixels
+            assert np.max(np.abs(shifted - (base + c))) <= 1e-9, cfg
 
 
 def test_filter_output_within_window_range():
@@ -190,6 +217,99 @@ def test_huber_filter_shift_invariance():
         GrayImage(pixels=img.pixels + 0.25, maxval=img.maxval), cfg
     ).pixels
     assert np.max(np.abs(shifted - (base + 0.25))) <= 1e-7
+
+
+def filter_by_pixel(img, cfg):
+    """The per-pixel reference: ``filter_pixel`` on each padded window."""
+    r = cfg.radius
+    pad_mode = "reflect" if cfg.boundary == "mirror" else "edge"
+    if r > 0 and min(img.height, img.width) == 1:
+        pad_mode = "edge"
+    padded = np.pad(img.pixels, r, mode=pad_mode)
+    spatial = cfg.spatial_weights()
+    out = np.empty_like(img.pixels)
+    for i in range(img.height):
+        for j in range(img.width):
+            window = padded[i : i + 2 * r + 1, j : j + 2 * r + 1].ravel()
+            out[i, j] = filter_pixel(window, img.pixels[i, j], cfg, spatial)
+    return np.clip(out, 0.0, 1.0)
+
+
+def reference_tiles(seed=0):
+    """Random 8-bit and 4-level-quantized (ties, plateaus) non-square tiles,
+    and 1xN and Nx1 tiles, which pad at the edge."""
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, 256, (7, 9)) / 255, rng.integers(0, 4, (7, 9)) / 3,
+            rng.integers(0, 256, (1, 7)) / 255, rng.integers(0, 4, (6, 1)) / 3]
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("kernel", TONAL_KERNELS)
+@pytest.mark.parametrize("dissimilarity", DISSIMILARITIES)
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_filter_image_matches_filter_pixel(estimator, dissimilarity, kernel, boundary):
+    for radius in (0, 1, 2):
+        cfg = FilterConfig(radius=radius, estimator=estimator, dissimilarity=dissimilarity,
+                           tonal_kernel=kernel, boundary=boundary)
+        for tile in reference_tiles():
+            img = GrayImage(pixels=tile, maxval=255)
+            if estimator == "shorth" and radius == 0:
+                # one value has no half-sample window, on either path
+                with pytest.raises(ValueError):
+                    filter_by_pixel(img, cfg)
+                with pytest.raises(ValueError):
+                    filter_image(img, cfg)
+                continue
+            got = filter_image(img, cfg).pixels
+            assert np.max(np.abs(got - filter_by_pixel(img, cfg))) <= 1e-12, (cfg, tile.shape)
+
+
+@pytest.mark.parametrize("dissimilarity", DISSIMILARITIES)
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_filter_image_matches_filter_pixel_across_row_blocks(estimator, dissimilarity):
+    img = noisy_fixture(size=(132, 20), seed=2)
+    cfg = FilterConfig(radius=2, estimator=estimator, dissimilarity=dissimilarity)
+    # squared: 2640 windows of 25 values exceed one block of 2**16 elements
+    assert img.pixels.size * 25 > tonal._FILTER_BLOCK
+    got = filter_image(img, cfg).pixels
+    assert np.max(np.abs(got - filter_by_pixel(img, cfg))) <= 1e-12
+
+
+UNDERFLOW_WINDOW = np.array([0, 0.1, 0.3, 0.5, 0.7, 0.9, 1, 0.2, 0.6])
+
+
+@pytest.mark.parametrize("dissimilarity", DISSIMILARITIES)
+@pytest.mark.parametrize("kernel", TONAL_KERNELS)
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_underflowing_tonal_weights_reach_the_limit(estimator, kernel, dissimilarity):
+    # gaussian kernel values underflow to 0 at sigma 5e-4, both kernels at
+    # 1e-200 (where cauchy's (t/sigma)^2 overflows); the result stays inside
+    # the window and at 1e-200 is the sigma -> 0 limit of the normalised
+    # kernel: 1 at the smallest distance t0 to the center, elsewhere 0
+    # (gaussian) or (t0 / t)^2 (cauchy)
+    img = GrayImage(pixels=UNDERFLOW_WINDOW.reshape(3, 3), maxval=255)
+    for sigma in (5e-4, 1e-200):
+        for spatial_sigma in (1.0, 0.02):  # 0.02: off-center spatial weights are 0
+            cfg = FilterConfig(estimator=estimator, tonal_kernel=kernel, tonal_sigma=sigma,
+                               dissimilarity=dissimilarity, spatial_sigma=spatial_sigma)
+            got = filter_pixel(UNDERFLOW_WINDOW, 0.7, cfg)
+            assert 0.0 <= got <= 1.0
+            if sigma == 1e-200:
+                spatial = cfg.spatial_weights()
+                t = np.abs(UNDERFLOW_WINDOW - center_estimate(UNDERFLOW_WINDOW, 0.7, cfg))
+                t0 = t[spatial > 0].min()
+                t = np.maximum(t, t0)  # nearer values have spatial weight 0
+                if kernel == "gaussian":
+                    limit = (t == t0) * 1.0
+                else:
+                    limit = np.divide(t0**2, t**2, out=np.ones(9), where=t > t0)
+                u = spatial * limit
+                want = (np.dot(u, UNDERFLOW_WINDOW) / u.sum() if dissimilarity == "squared"
+                        else huber_argmin(UNDERFLOW_WINDOW, u, cfg.huber_delta))
+                assert got == pytest.approx(want, abs=1e-12)
+            out = filter_image(img, cfg).pixels
+            assert np.all(np.isfinite(out)) and np.all((out >= 0) & (out <= 1))
+            assert np.max(np.abs(out - filter_by_pixel(img, cfg))) <= 1e-12
 
 
 def test_filter_determinism():
