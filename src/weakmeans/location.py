@@ -3,6 +3,10 @@
 Mode, shorth, least median of squares, least trimmed squares, OWA-penalty
 regression operators, and density-based means.  All are shift-invariant
 (and hence weakly monotone) but not monotone.
+
+``mode_rows``, ``shorth_rows`` and ``lms_rows`` evaluate their estimator on
+every row (last axis) of an array at once, with the scalar function's tie
+rules; the scalar function is the reference.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .means import _as_input
+from .means import _as_input, _as_rows
 from .penalty import MinimizerConfig, PenaltySpec, minimize_penalty
 
 ArrayLike = Sequence[float] | np.ndarray
@@ -31,6 +35,20 @@ def mode(x: ArrayLike, quantize: float | None = None) -> float:
         v = np.round(v / quantize) * quantize
     values, counts = np.unique(v, return_counts=True)
     return float(values[np.argmax(counts)])  # first max = smallest value
+
+
+def sorted_mode_rows(S: np.ndarray) -> np.ndarray:
+    """Smallest most frequent value of every row of S, each sorted: the
+    first position that ends a longest run of equal values lies in it."""
+    j = np.arange(S.shape[-1])
+    starts = np.ones(S.shape, dtype=bool)
+    starts[..., 1:] = S[..., 1:] != S[..., :-1]
+    run = j - np.maximum.accumulate(np.where(starts, j, 0), axis=-1)
+    return np.take_along_axis(S, np.argmax(run, axis=-1)[..., None], axis=-1)[..., 0]
+
+
+def mode_rows(X: ArrayLike) -> np.ndarray:
+    return sorted_mode_rows(np.sort(_as_rows(X), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -57,7 +75,10 @@ def candidate_windows(x: ArrayLike) -> tuple[np.ndarray, list[Window]]:
 
 
 def _shortest_window(x: ArrayLike) -> tuple[np.ndarray, Window]:
-    xs, windows = candidate_windows(x)
+    xs = np.sort(_as_input(x))
+    if xs.size == 1:  # one value is its own half-sample
+        return xs, Window(0, 0, 0.0)
+    _, windows = candidate_windows(xs)
     # near-ties (within fp noise of a uniform shift) resolve to the smallest
     # start so the selection is stable under translation of quantized data
     shortest = min(w.length for w in windows)
@@ -78,6 +99,29 @@ def lms(x: ArrayLike) -> float:
     return 0.5 * (float(xs[w.start]) + float(xs[w.stop]))
 
 
+def _shortest_rows(X: ArrayLike) -> tuple[np.ndarray, np.ndarray, int]:
+    """Row-sorted X, the start of each row's shortest half-sample window by
+    ``_shortest_window``'s near-tie rule, and the window's last offset."""
+    xs = np.sort(_as_rows(X), axis=-1)
+    n = xs.shape[-1]
+    half, starts = n // 2, (n + 1) // 2
+    length = xs[..., half : half + starts] - xs[..., :starts]
+    tol = 1e-9 * np.maximum(1.0, np.abs(xs).max(axis=-1, keepdims=True))
+    k = np.argmax(length <= length.min(axis=-1, keepdims=True) + tol, axis=-1)
+    return xs, k[..., None], half
+
+
+def shorth_rows(X: ArrayLike) -> np.ndarray:
+    xs, k, half = _shortest_rows(X)
+    return np.take_along_axis(xs, k + np.arange(half + 1), axis=-1).mean(axis=-1)
+
+
+def lms_rows(X: ArrayLike) -> np.ndarray:
+    xs, k, half = _shortest_rows(X)
+    ends = np.take_along_axis(xs, np.concatenate([k, k + half], axis=-1), axis=-1)
+    return 0.5 * (ends[..., 0] + ends[..., 1])
+
+
 def lts(x: ArrayLike) -> float:
     """Least trimmed squares.
 
@@ -88,8 +132,6 @@ def lts(x: ArrayLike) -> float:
     """
     xs = np.sort(_as_input(x))
     n = xs.size
-    if n < 2:
-        raise ValueError("need at least two values")
     h = n // 2 + 1
     stats = []
     for k in range(n - h + 1):

@@ -5,6 +5,10 @@ order statistics, Bajraktarevic, mixture, Gini and Lehmer means.  The
 Gini/Lehmer families are evaluated with explicit limit conventions at zero
 components (drop for positive exponent, absorb for negative, arithmetic at
 zero) instead of relying on 0**q arithmetic.
+
+A ``*_rows`` function evaluates its mean on every row (last axis) of an
+array at once, with the same conventions; the scalar function is its
+reference.
 """
 
 from __future__ import annotations
@@ -43,6 +47,22 @@ def _as_input(x: ArrayLike) -> np.ndarray:
     return x
 
 
+def _as_rows(X: ArrayLike) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim < 1 or X.shape[-1] < 1:
+        raise ValueError("input rows must be non-empty")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("input values must be finite")
+    return X
+
+
+def _finite(value: float) -> float:
+    """A result computed through user callables, refused when not finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"the mean is not finite ({value}); check the generator or weights")
+    return value
+
+
 def _require_nonnegative(x: np.ndarray) -> np.ndarray:
     if np.any(x < 0):
         raise ValueError("negative components are outside the [0, inf) domain")
@@ -75,6 +95,10 @@ def arithmetic_mean(x: ArrayLike) -> float:
     return float(np.mean(_as_input(x)))
 
 
+def arithmetic_mean_rows(X: ArrayLike) -> np.ndarray:
+    return _as_rows(X).mean(axis=-1)
+
+
 def power_mean(x: ArrayLike, p: float, weights: ArrayLike | None = None) -> float:
     """Weighted power mean (sum w_i x_i^p)^(1/p).
 
@@ -100,6 +124,35 @@ def power_mean(x: ArrayLike, p: float, weights: ArrayLike | None = None) -> floa
     return float(c * np.dot(w, (x / c) ** p) ** (1.0 / p))
 
 
+def _dominant(X: np.ndarray, part: np.ndarray, e: float) -> np.ndarray:
+    """The component of each row that dominates x^e among those in ``part``:
+    the largest for e > 0, else the smallest (kept as an (..., 1) column)."""
+    if e > 0:
+        return np.where(part, X, -np.inf).max(axis=-1, keepdims=True)
+    return np.where(part, X, np.inf).min(axis=-1, keepdims=True)
+
+
+def _power_rows(X: np.ndarray, p: float, W: np.ndarray) -> np.ndarray:
+    """``power_mean`` of every row of X under normalized weights W (of a
+    shape that broadcasts to X's); a component of weight 0 takes no part."""
+    part = W > 0
+    c = _dominant(X, part, p)
+    if math.isinf(p):
+        return c[..., 0]
+    if p == 0:  # c is the smallest component: a zero absorbs
+        logs = np.log(np.where(part & (X > 0), X, 1.0))
+        return np.where(c[..., 0] > 0, np.exp((W * logs).sum(axis=-1)), 0.0)
+    # c = 0 only for an all-zero row, or (p < 0) a zero with positive
+    # weight, which absorbs: both give 0
+    Y = np.divide(X, c, out=np.ones_like(X), where=part & (c > 0))
+    return c[..., 0] * (W * Y**p).sum(axis=-1) ** (1.0 / p)
+
+
+def power_mean_rows(X: ArrayLike, p: float, weights: ArrayLike | None = None) -> np.ndarray:
+    X = _require_nonnegative(_as_rows(X))
+    return _power_rows(X, p, _norm_weights(weights, X.shape[-1]))
+
+
 def quasi_arithmetic_mean(
     x: ArrayLike,
     g: Callable[[np.ndarray], np.ndarray],
@@ -110,14 +163,20 @@ def quasi_arithmetic_mean(
     x = _as_input(x)
     w = _norm_weights(weights, x.size)
     gx = np.asarray(g(x), dtype=float)
-    return float(g_inv(float(np.dot(w, gx))))
+    return _finite(float(g_inv(float(np.dot(w, gx)))))
 
 
 def owa(x: ArrayLike, weights: ArrayLike) -> float:
     """Ordered weighted average: weights applied to x sorted non-increasing."""
     x = _as_input(x)
     w = _norm_weights(weights, x.size)
-    return float(np.dot(w, np.sort(x)[::-1]))
+    return float((w * np.sort(x)[::-1]).sum())
+
+
+def owa_rows(X: ArrayLike, weights: ArrayLike) -> np.ndarray:
+    X = _as_rows(X)
+    # the scalar form's products and summation order: signed values cancel
+    return (_norm_weights(weights, X.shape[-1]) * np.sort(X, axis=-1)[..., ::-1]).sum(axis=-1)
 
 
 def order_statistic(x: ArrayLike, k: int) -> float:
@@ -144,6 +203,15 @@ def median(x: ArrayLike, convention: str = "mean") -> float:
     raise ValueError(f"unknown median convention {convention!r}")
 
 
+def median_rows(X: ArrayLike) -> np.ndarray:
+    """``median`` of every row, even n by the mean convention."""
+    s = np.sort(_as_rows(X), axis=-1)
+    n = s.shape[-1]
+    if n % 2 == 1:
+        return s[..., n // 2]
+    return 0.5 * (s[..., n // 2 - 1] + s[..., n // 2])
+
+
 def bajraktarevic_mean(
     x: ArrayLike,
     weight_fns: Sequence[Callable[[float], float]],
@@ -161,7 +229,7 @@ def bajraktarevic_mean(
     if total <= 0:
         raise ValueError("total weight is zero")
     gx = np.asarray(g(x), dtype=float)
-    return float(g_inv(float(np.dot(w, gx) / total)))
+    return _finite(float(g_inv(float(np.dot(w, gx)) / float(total))))
 
 
 def mixture_mean(x: ArrayLike, w_fn: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -173,7 +241,7 @@ def mixture_mean(x: ArrayLike, w_fn: Callable[[np.ndarray], np.ndarray]) -> floa
     total = w.sum()
     if total <= 0:
         raise ValueError("total weight is zero")
-    return float(np.dot(w, x) / total)
+    return _finite(float(np.dot(w, x)) / float(total))
 
 
 def generalized_mixture_mean(
@@ -209,6 +277,21 @@ def gini_mean(
     return power_mean(x, p, w * (x / c) ** q)
 
 
+def gini_mean_rows(
+    X: ArrayLike, p: float, q: float, weights: ArrayLike | None = None
+) -> np.ndarray:
+    X = _require_nonnegative(_as_rows(X))
+    w = _norm_weights(weights, X.shape[-1])
+    if q == 0:
+        return _power_rows(X, p, w)
+    part = w > 0
+    c = _dominant(X, part, q)
+    # c = 0 only for an all-zero row, or (q < 0) an absorbing zero: both
+    # give 0.  For q > 0 a zero gets weight 0**q = 0, which drops it.
+    V = w * np.divide(X, c, out=np.ones_like(X), where=part & (c > 0)) ** q
+    return np.where(c[..., 0] > 0, _power_rows(X, p, V / V.sum(axis=-1, keepdims=True)), 0.0)
+
+
 def lehmer_mean(x: ArrayLike, q: float) -> float:
     """Lehmer mean sum x^(q+1) / sum x^q on [0, inf)^n.
 
@@ -230,6 +313,18 @@ def lehmer_mean(x: ArrayLike, q: float) -> float:
     y = x / c
     yq = y**q
     return float(c * (yq.dot(y) / yq.sum()))
+
+
+def lehmer_mean_rows(X: ArrayLike, q: float) -> np.ndarray:
+    X = _require_nonnegative(_as_rows(X))
+    if q == 0:
+        return X.mean(axis=-1)
+    c = X.max(axis=-1, keepdims=True) if q > 0 else X.min(axis=-1, keepdims=True)
+    # c = 0 only for an all-zero row, or (q < 0) an absorbing zero: both
+    # give 0.  For q > 0 a zero adds 0**q = 0 to both sums, which drops it.
+    y = np.divide(X, c, out=np.ones_like(X), where=c > 0)
+    yq = y**q
+    return c[..., 0] * ((yq * y).sum(axis=-1) / yq.sum(axis=-1))
 
 
 def lehmer_max_args(q: float) -> float:
@@ -258,3 +353,8 @@ def contraharmonic_mean(x: ArrayLike) -> float:
 def midrange(x: ArrayLike) -> float:
     x = _as_input(x)
     return 0.5 * (float(x.min()) + float(x.max()))
+
+
+def midrange_rows(X: ArrayLike) -> np.ndarray:
+    X = _as_rows(X)
+    return 0.5 * (X.min(axis=-1) + X.max(axis=-1))

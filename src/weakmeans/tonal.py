@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import location
-from .means import median
+from .means import median, median_rows
 from .penalty import PenaltySpec
 from .pgm import GrayImage
 
@@ -108,31 +108,14 @@ def _center_rows(x: np.ndarray, center: np.ndarray, cfg: FilterConfig) -> np.nda
     """``center_estimate`` of every row of x, an (m, n) array with n odd."""
     if cfg.estimator == "center":
         return center
-    m, n = x.shape
-    s = np.sort(x, axis=1)
     if cfg.estimator == "median":
-        return s[:, n // 2]
+        return median_rows(x)
     if cfg.estimator == "shorth":
-        if n < 2:
-            raise ValueError("need at least two values")
-        # location.shorth's rule: the first start among the half-sample
-        # windows within 1e-9 max(1, max|x|) of the shortest
-        half, starts = n // 2, (n + 1) // 2
-        length = s[:, half : half + starts] - s[:, :starts]
-        tol = 1e-9 * np.maximum(1.0, np.abs(s).max(axis=1, keepdims=True))
-        k = np.argmax(length <= length.min(axis=1, keepdims=True) + tol, axis=1)
-        return np.take_along_axis(s, k[:, None] + np.arange(half + 1), axis=1).mean(axis=1)
-    # mode: bins anchored at the row minimum; sorted values give sorted bins,
-    # and the first position that ends the longest run lies in the smallest
-    # of the most frequent bins
-    base = s[:, 0]
-    b = np.round((s - base[:, None]) / cfg.mode_quantize)
-    j = np.arange(n)
-    starts = np.ones((m, n), dtype=bool)
-    starts[:, 1:] = b[:, 1:] != b[:, :-1]
-    run = j - np.maximum.accumulate(np.where(starts, j, 0), axis=1)
-    top = np.argmax(run, axis=1)
-    return base + cfg.mode_quantize * b[np.arange(m), top]
+        return location.shorth_rows(x)
+    # mode: bins anchored at the row minimum; sorted values give sorted bins
+    s = np.sort(x, axis=1)
+    step = cfg.mode_quantize
+    return s[:, 0] + step * location.sorted_mode_rows(np.round((s - s[:, :1]) / step))
 
 
 def _huber(t: np.ndarray, delta: float) -> np.ndarray:

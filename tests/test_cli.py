@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import weakmeans
 from weakmeans import GrayImage, read_pgm, write_pgm
 from weakmeans.cli import main
 
@@ -92,6 +97,8 @@ def test_check_machine_format_roundtrips(capsys):
     assert report["verdict"] == "violated"
     assert isinstance(report["witness"]["x"], list)
     assert report["seed"] == 0
+    assert report["evaluations"] >= 2 * report["samples_used"]
+    assert report["elapsed_s"] > 0
 
 
 def test_check_unknown_property(capsys):
@@ -148,3 +155,26 @@ def test_filter_malformed_input(tmp_path, capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["aggregate", "nosuchmean", "--", "1"]) == 2
     assert main(["frobnicate"]) == 2
+
+
+def test_filter_radius_zero_is_the_identity_for_every_estimator(tmp_path, capsys):
+    img = GrayImage(pixels=np.random.default_rng(0).integers(0, 256, (5, 6)) / 255, maxval=255)
+    src = tmp_path / "in.pgm"
+    src.write_bytes(write_pgm(img))
+    for estimator in ("center", "median", "shorth", "mode"):
+        dst = tmp_path / f"{estimator}.pgm"
+        code, _, err = run(capsys, "filter", "--in", str(src), "--out", str(dst),
+                           "--radius", "0", "--estimator", estimator)
+        assert code == 0, err
+        assert dst.read_bytes() == src.read_bytes()
+
+
+@pytest.mark.parametrize("module", ["weakmeans", "weakmeans.cli"])
+def test_runs_as_a_module(module):
+    env = {**os.environ, "PYTHONPATH": str(Path(weakmeans.__file__).parents[1])}
+    run_module = lambda *argv: subprocess.run(
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=60)
+    proc = run_module("aggregate", "mean", "--", "1", "2")
+    assert (proc.returncode, proc.stdout) == (0, "1.5\n")
+    proc = run_module("aggregate", "nosuchmean", "--", "1")
+    assert proc.returncode == 2 and "unknown mean" in proc.stderr

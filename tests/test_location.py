@@ -61,6 +61,11 @@ def test_lms_values():
     assert lms([5, 5, 5, 5]) == 5.0
 
 
+def test_one_value_is_its_own_estimate():
+    for estimator in ESTIMATORS:
+        assert estimator([3.5]) == 3.5
+
+
 def lts_subset_oracle(x):
     """Independent oracle: exhaustive search over all h-subsets."""
     x = np.asarray(x, float)

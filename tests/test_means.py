@@ -254,3 +254,15 @@ def test_mixture_weight_scale_invariance():
             base = mixture_mean(x, lambda t: t**2 + 0.1)
             scaled = mixture_mean(x, lambda t: alpha * (t**2 + 0.1))
             assert scaled == pytest.approx(base, abs=1e-12)
+
+
+def test_user_callable_means_refuse_non_finite_results():
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="not finite"):
+            quasi_arithmetic_mean([1000, 1], np.exp, np.log)
+        with pytest.raises(ValueError, match="not finite"):
+            mixture_mean([1, 2], lambda x: np.exp(1000 * x))
+        with pytest.raises(ValueError, match="not finite"):
+            bajraktarevic_mean([1000, 1], [lambda t: 1.0] * 2, np.exp, np.log)
+        with pytest.raises(ValueError, match="not finite"):
+            generalized_mixture_mean([1, 2], [lambda t: math.inf, lambda t: 1.0])

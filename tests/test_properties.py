@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,6 +140,7 @@ def test_skipped_samples_are_counted_not_tested():
     assert not report.violated and report.samples_used == 2000
     assert report.samples_skipped > 0  # clipping at hi = 1 leaves a <= 0
     assert len(calls) == 2 * (report.samples_used - report.samples_skipped)
+    assert report.evaluations == len(calls)
     assert PropertyReport(**report.to_dict()) == report
     assert f"skipped={report.samples_skipped}" in report.to_text()
 
@@ -275,3 +277,88 @@ def test_sampler_config_validation():
         SamplerConfig(samples=0)
     with pytest.raises(ValueError):
         SamplerConfig(boundary_fraction=1.5)
+
+
+def _row_params(name, n):
+    """Parameter sets of a registry entry: extreme exponents, and weights
+    with zeros (never all zero)."""
+    w = (1.0 + np.arange(n)) * (np.arange(n) % 3 != 1)
+    if name == "lehmer":
+        return [{"q": q} for q in (-300, -2.5, -1, 0, 0.5, 1, 2, 300)]
+    if name == "power":
+        return [{"p": p, "weights": ws} for p in (-math.inf, -300, -1, 0, 1, 2.5, 300, math.inf)
+                for ws in (None, w)]
+    if name == "gini":
+        return [{"p": p, "q": q, "weights": ws}
+                for p, q in ((0, 2), (1, -2), (-3, 1), (300, 0), (2, 300), (-300, -1), (1.5, 0.5))
+                for ws in (None, w)]
+    if name == "owa":
+        return [{"weights": np.ones(n)}, {"weights": w}]
+    return [{}]
+
+
+def _row_cases(n, nonnegative):
+    """Random rows, rows with ties and zeros, all-zero and constant rows, at
+    scales 1e-150 to 1e150."""
+    rng = np.random.default_rng(n)
+    X = np.concatenate([rng.uniform(0, 1, (40, n)), rng.integers(0, 3, (40, n)) / 2.0,
+                        np.zeros((1, n)), np.full((1, n), 0.7)])
+    if not nonnegative:
+        X = X - 0.5
+    return np.concatenate([t * X for t in (1e-150, 1e-3, 1.0, 1e3, 1e150)])
+
+
+@pytest.mark.parametrize("name", sorted(k for k, v in AGGREGATORS.items() if v.rows))
+def test_rows_equal_the_scalar_function_row_by_row(name):
+    for n in (1, 2, 3, 4, 5, 8):
+        X = _row_cases(n, AGGREGATORS[name].domain.lo == 0)
+        for params in _row_params(name, n):
+            F = named_aggregator(name, **params)
+            got = F.rows(X)
+            assert got.shape == (len(X),)
+            np.testing.assert_allclose(got, [F(x) for x in X], rtol=1e-12, atol=0,
+                                       err_msg=f"{name} {params} n={n}")
+
+
+# registry aggregators and the arities they are checked at
+PATH_GRID = [("lehmer", {"q": q}, n) for q in (1.0, 2.0, 3.0) for n in (2, 3, 5)] + [
+    ("mean", {}, 4), ("median", {}, 4), ("shorth", {}, 5), ("lms", {}, 4), ("mode", {}, 5),
+    ("power", {"p": -1.0}, 3), ("gini", {"p": 1.0, "q": 2.0}, 3),
+]
+
+
+@pytest.mark.parametrize("name,params,n", PATH_GRID)
+def test_rows_and_scalar_paths_give_equal_reports(name, params, n):
+    F = named_aggregator(name, **params)
+    scalar = replace(F, rows=None)
+    fields = lambda r: (r.verdict, r.samples_used, r.samples_skipped, r.witness, r.evaluations)
+    for seed in range(20):
+        cfg = SamplerConfig(samples=150, seed=seed)
+        for prop, check in CHECKS.items():
+            assert fields(check(F, n=n, cfg=cfg)) == fields(check(scalar, n=n, cfg=cfg)), (prop, seed)
+
+
+def test_rows_flags_are_confirmed_through_the_scalar_function():
+    lying = replace(MEAN, rows=lambda X: X.mean(axis=-1) + (X[:, 0] > 0.5))
+    report = check_averaging(lying, n=3, cfg=FAST)
+    assert not report.violated
+    assert report.evaluations > FAST.samples  # each flagged row went through F again
+
+
+@pytest.mark.parametrize("prop", ["monotone", "shift-invariant", "internal"])
+def test_samples_do_not_depend_on_the_budget(prop):
+    F = named_aggregator("lehmer", q=2.0)
+    for seed in range(10):
+        report = CHECKS[prop](F, n=3, cfg=SamplerConfig(samples=300, seed=seed))
+        k = report.samples_used  # the witness is sample k, whatever the budget
+        assert CHECKS[prop](F, n=3, cfg=SamplerConfig(samples=k, seed=seed)) \
+            .witness == report.witness
+        if k > 1:
+            assert not CHECKS[prop](F, n=3, cfg=SamplerConfig(samples=k - 1, seed=seed)).violated
+
+
+def test_early_exit_stops_in_the_first_chunk():
+    report = check_shift_invariance(named_aggregator("lehmer", q=1.0), n=2, cfg=FAST)
+    assert report.violated and report.samples_used <= 8
+    assert report.evaluations == 2 * 8 + 2  # the first chunk, then the witness through F
+    assert report.elapsed_s > 0
