@@ -17,13 +17,7 @@ from .means import (
     power_mean,
     quasi_arithmetic_mean,
 )
-from .penalty import (
-    MinimizerConfig,
-    PenaltySpec,
-    minimize_penalty,
-    mixture_penalty,
-    shifted_penalty_value,
-)
+from .penalty import PenaltySpec, minimize_penalty, mixture_penalty
 from .location import (
     candidate_windows,
     density_mean,

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .means import _as_input, _as_rows
-from .penalty import MinimizerConfig, PenaltySpec, minimize_penalty
+from .penalty import PenaltySpec
 
 ArrayLike = Sequence[float] | np.ndarray
 
@@ -144,30 +144,26 @@ def lts(x: ArrayLike) -> float:
 
 
 def owa_penalty(delta: ArrayLike) -> PenaltySpec:
-    """OWA penalty sum_i delta_i * S_i((x - y)^2), S_i the i-th smallest."""
+    """OWA penalty sum_i delta_i * S_i((x - y)^2), S_i the i-th smallest.
+
+    The term sorts the squared residuals along the last axis, so it
+    broadcasts over a column of candidates y like every other term."""
     d = np.asarray(delta, dtype=float)
     if np.any(d < 0) or d.sum() <= 0:
         raise ValueError("delta must be non-negative with positive sum")
-
-    def whole(xs: np.ndarray, y: float) -> float:
-        r2 = np.sort((xs - y) ** 2)
-        return float(np.dot(d, r2))
-
-    return PenaltySpec(whole=whole)
+    return PenaltySpec(term=lambda xs, y: d * np.sort((xs - y) ** 2, axis=-1))
 
 
-def owa_penalty_estimator(
-    x: ArrayLike, delta: ArrayLike, method: str = "exact"
-) -> float:
+def owa_penalty_estimator(x: ArrayLike, delta: ArrayLike) -> float:
     """Argmin over y of the OWA-weighted ordered squared residuals.
 
     Special cases of the weight vector recover classical operators:
     all-ones -> least squares, (0,..,0,1) -> midrange, median weights -> LMS,
     trimmed (1,..,1_h,0,..,0) -> LTS.  Leftmost minimiser convention.
 
-    "exact" solves each piecewise-quadratic segment analytically (segment
-    boundaries at all pairwise midpoints); "penalty" delegates to the generic
-    grid minimizer and serves as an independent cross-check.
+    Each piecewise-quadratic segment (boundaries at all pairwise midpoints)
+    is solved analytically; ``minimize_penalty`` over ``owa_penalty`` is the
+    independent reference the tests compare it with.
     """
     x = _as_input(x)
     d = np.asarray(delta, dtype=float)
@@ -175,15 +171,6 @@ def owa_penalty_estimator(
         raise ValueError("delta must match the input length")
     if np.any(d < 0) or d.sum() <= 0:
         raise ValueError("delta must be non-negative with positive sum")
-
-    if method == "penalty":
-        cfg = MinimizerConfig(
-            grid_points=4001,
-            extra_candidates=[(a + b) / 2.0 for a in x for b in x],
-        )
-        return minimize_penalty(owa_penalty(d), x, cfg)
-    if method != "exact":
-        raise ValueError(f"unknown method {method!r}")
 
     lo, hi = float(x.min()), float(x.max())
     if lo == hi:

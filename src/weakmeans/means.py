@@ -33,10 +33,6 @@ class Interval:
         if not self.lo <= self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
-    def contains(self, x: ArrayLike, tol: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
-
 
 def _as_input(x: ArrayLike) -> np.ndarray:
     x = np.asarray(x, dtype=float)

@@ -2,21 +2,21 @@
 
 A mean is the argmin over y of a penalty P(x, y); when the minimiser set is
 not a single point the infimum (leftmost minimiser) is reported.  The
-minimizer scans a dense grid augmented with all input values as mandatory
-candidates (one broadcast call per block of candidates for ``term``
-penalties), then refines around every grid-global minimum with golden-section
-search in the adjacent cells.
+minimizer is a fixed oracle over [min x, max x]: it scans a uniform grid of
+``_GRID_POINTS`` augmented with all input values as mandatory candidates (one
+broadcast call per block of candidates), then refines around every
+grid-global minimum with golden-section search in the adjacent cells.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .means import Interval, _as_input
+from .means import _as_input
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -24,59 +24,35 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 # ``PenaltySpec.evaluate_many``; bounds each temporary of the scan to 0.5 MB
 # whatever the number of inputs.
 _SCAN_BLOCK = 1 << 16
+_GRID_POINTS = 2001  # uniform scan points on [min x, max x]
+_REFINE_TOL = 1e-10  # golden-section bracket width at which refinement stops
 
 
 @dataclass
 class PenaltySpec:
-    """Penalty P(x, y) >= c with equality iff all x_i = y.
+    """Penalty P(x, y) = sum of ``term(x, y)``, >= 0 with equality iff all
+    x_i = y.
 
-    Either ``term`` (vectorized per-input terms, summed) or ``whole`` (full
-    penalty) must be given.  ``term`` must broadcast: called with x of shape
-    (1, n) and y an (m, 1) column of candidates it returns the (m, n) terms,
-    row k being the terms at y[k], so one call scans m candidates.  ``whole``
-    is called with one scalar y at a time.
+    ``term`` gives the per-input terms and must broadcast: called with x of
+    shape (1, n) and y an (m, 1) column of candidates it returns the (m, n)
+    terms, row k being the terms at y[k], so one call scans m candidates.
     """
 
-    term: Callable[[np.ndarray, float | np.ndarray], np.ndarray] | None = None
-    whole: Callable[[np.ndarray, float], float] | None = None
-    constant: float = 0.0
-
-    def __post_init__(self):
-        if (self.term is None) == (self.whole is None):
-            raise ValueError("exactly one of term/whole must be provided")
+    term: Callable[[np.ndarray, float | np.ndarray], np.ndarray]
 
     def evaluate(self, x: np.ndarray, y: float) -> float:
-        x = np.asarray(x, dtype=float)
-        if self.term is not None:
-            return float(np.sum(self.term(x, y)))
-        return float(self.whole(x, y))
+        return float(np.sum(self.term(np.asarray(x, dtype=float), y)))
 
     def evaluate_many(self, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """P(x, y) for every y in ys; equal, bit for bit, to ``evaluate``
         called once per y."""
         x = np.asarray(x, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        if self.term is None:
-            return np.array([self.evaluate(x, float(y)) for y in ys])
         rows = max(1, _SCAN_BLOCK // x.size)
         out = np.empty(ys.size)
         for i in range(0, ys.size, rows):
             out[i : i + rows] = np.sum(self.term(x[None, :], ys[i : i + rows, None]), axis=1)
         return out
-
-
-@dataclass
-class MinimizerConfig:
-    grid_points: int = 2001
-    refine_tol: float = 1e-10
-    bracket: Interval | None = None  # None resolves to [min(x), max(x)]
-    extra_candidates: Sequence[float] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if self.grid_points < 3:
-            raise ValueError("grid_points must be >= 3")
-        if self.refine_tol <= 0:
-            raise ValueError("refine_tol must be positive")
 
 
 def golden_section(
@@ -104,29 +80,19 @@ def golden_section(
     return (c, yc) if yc < yd else (d, yd)
 
 
-def minimize_penalty(
-    P: PenaltySpec, x, cfg: MinimizerConfig | None = None
-) -> float:
-    """Leftmost global minimiser of y -> P(x, y) over the bracket.
+def minimize_penalty(P: PenaltySpec, x) -> float:
+    """Leftmost global minimiser of y -> P(x, y) over [min x, max x].
 
-    All input values (and any extra candidates) are injected into the scan so
-    quasi-penalties whose minimisers sit exactly at data points are never
-    missed by the uniform grid.
+    All input values are injected into the scan so quasi-penalties whose
+    minimisers sit exactly at data points are never missed by the uniform
+    grid.
     """
-    cfg = cfg or MinimizerConfig()
     x = _as_input(x)
-    if cfg.bracket is None:
-        lo, hi = float(x.min()), float(x.max())
-    else:
-        lo, hi = cfg.bracket.lo, cfg.bracket.hi
-    if lo > hi:
-        raise ValueError("empty bracket")
+    lo, hi = float(x.min()), float(x.max())
     if lo == hi:
         return lo
 
-    grid = np.linspace(lo, hi, cfg.grid_points)
-    cand = np.concatenate([grid, x, np.asarray(cfg.extra_candidates, dtype=float)])
-    cand = np.unique(cand[(cand >= lo) & (cand <= hi)])
+    cand = np.unique(np.concatenate([np.linspace(lo, hi, _GRID_POINTS), x]))
     vals = P.evaluate_many(x, cand)
     if not np.all(np.isfinite(vals)):
         raise ValueError("penalty produced non-finite values on the bracket")
@@ -140,9 +106,9 @@ def minimize_penalty(
     f = lambda y: P.evaluate(x, y)
     for i in np.flatnonzero(vals <= best + tie_tol):
         for a, b in ((cand[max(i - 1, 0)], cand[i]), (cand[i], cand[min(i + 1, cand.size - 1)])):
-            if b - a <= cfg.refine_tol:
+            if b - a <= _REFINE_TOL:
                 continue
-            y, v = golden_section(f, float(a), float(b), cfg.refine_tol)
+            y, v = golden_section(f, float(a), float(b), _REFINE_TOL)
             if v < best_v - tie_tol or (v <= best_v + tie_tol and y < best_y):
                 best_y, best_v = y, min(v, best_v)
 
@@ -190,12 +156,6 @@ def absolute_penalty() -> PenaltySpec:
 def mode_penalty() -> PenaltySpec:
     """Counting quasi-penalty: 0 for matching inputs, 1 otherwise."""
     return PenaltySpec(term=lambda xs, y: (xs != y).astype(float))
-
-
-def shifted_penalty_value(P: PenaltySpec, x, a: float, y: float) -> float:
-    """P evaluated at (x + a*1, y + a); equals P(x, y) for difference-based terms."""
-    x = _as_input(x)
-    return P.evaluate(x + a, y + a)
 
 
 def sublevel_convexity_check(

@@ -429,10 +429,13 @@ def check_mixture_sufficient_condition(
 
     A pass certifies (numerically) the sufficient condition only.
     """
+    start = time.perf_counter()
     ts = np.linspace(interval.lo, interval.hi, grid)
     eps = 1e-7 * max(1.0, interval.hi - interval.lo)
-    witness = None
+    calls_per_point = 2 if dw_fn is not None else 3  # w and w', or w at t and t +- eps
+    witness, used = None, 0
     for t in map(float, ts):
+        used += 1
         if dw_fn is not None:
             dw = float(dw_fn(t))
         else:
@@ -443,7 +446,9 @@ def check_mixture_sufficient_condition(
             witness = {"t": t, "w": lhs, "dw_times_remaining": rhs}
             break
     verdict = "no-violation-found" if witness is None else "violated"
-    return PropertyReport("mixture-monotone-sufficient", verdict, witness, grid, 0, 1e-9)
+    return PropertyReport("mixture-monotone-sufficient", verdict, witness, used, 0, 1e-9,
+                          evaluations=used * calls_per_point,
+                          elapsed_s=time.perf_counter() - start)
 
 
 def lehmer_bound_table(

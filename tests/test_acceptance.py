@@ -42,7 +42,6 @@ from weakmeans import (
     write_pgm,
 )
 from weakmeans import location
-from weakmeans.penalty import MinimizerConfig
 from weakmeans.tonal import tonal_penalty
 
 REALS = Interval(-math.inf, math.inf)

@@ -31,6 +31,16 @@ def test_aggregate_mode_and_shorth(capsys):
     assert code == 0 and float(out) == 1
 
 
+def test_aggregate_owa_penalty(capsys):
+    # trimmed weights (1, 1, 0) are the LTS operator, (0, 0, 1) the midrange
+    code, out, _ = run(capsys, "aggregate", "owa-penalty", "--weights", "1,1,0", "--", "0", "1", "10")
+    assert code == 0 and out.strip() == "0.5"
+    code, lts_out, _ = run(capsys, "aggregate", "lts", "--", "0", "1", "10")
+    assert code == 0 and lts_out == out
+    code, out, _ = run(capsys, "aggregate", "owa-penalty", "--weights", "0,0,1", "--", "0", "1", "10")
+    assert code == 0 and out.strip() == "5"
+
+
 def test_aggregate_from_file(tmp_path, capsys):
     f = tmp_path / "values.txt"
     f.write_text("1\n2\n3\n4\n")

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from weakmeans import (
-    Interval,
-    MinimizerConfig,
     PenaltySpec,
     minimize_penalty,
     mixture_mean,
     mixture_penalty,
-    shifted_penalty_value,
+    owa_penalty,
 )
 from weakmeans.penalty import (
     absolute_penalty,
@@ -37,6 +35,9 @@ def library_term_penalties(x):
     for dissimilarity in ("squared", "huber"):
         cfg = FilterConfig(dissimilarity=dissimilarity, estimator="median")
         specs.append(tonal_penalty(x, x[0], cfg, spatial))
+    d = np.random.default_rng(x.size).uniform(0, 1, x.size)
+    d[0] = 1.0  # positive sum
+    specs.append(owa_penalty(d))
     return specs
 
 
@@ -48,8 +49,6 @@ def test_evaluate_many_is_bit_identical_to_evaluate(n):
     for P in library_term_penalties(x):
         want = np.array([P.evaluate(x, float(y)) for y in ys])
         assert np.array_equal(P.evaluate_many(x, ys), want)
-    whole = PenaltySpec(whole=lambda xs, y: float(np.max(np.abs(xs - y))))
-    assert np.array_equal(whole.evaluate_many(x, ys), [whole.evaluate(x, float(y)) for y in ys])
     assert least_squares_penalty().evaluate_many(x, []).shape == (0,)
 
 
@@ -116,39 +115,30 @@ def test_penalty_axioms_sampled():
             n = rng.integers(1, 6)
             x = rng.uniform(0, 1, n)
             y = rng.uniform(0, 1)
-            assert P.evaluate(x, y) >= P.constant - 1e-12
+            assert P.evaluate(x, y) >= -1e-12
             t = rng.uniform(0, 1)
-            assert P.evaluate(np.full(n, t), t) == pytest.approx(P.constant, abs=1e-12)
+            assert P.evaluate(np.full(n, t), t) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_shifted_penalty_value_difference_terms():
     P = least_squares_penalty()
-    assert shifted_penalty_value(P, [1, 2], 5.0, 1.5) == pytest.approx(0.5, abs=1e-12)
+    assert P.evaluate(np.array([1, 2]) + 5.0, 1.5 + 5.0) == pytest.approx(0.5, abs=1e-12)
     Pm = mode_penalty()
-    assert shifted_penalty_value(Pm, [1, 1, 2], 3.0, 1.0) == pytest.approx(1.0)
+    assert Pm.evaluate(np.array([1, 1, 2]) + 3.0, 1.0 + 3.0) == pytest.approx(1.0)
     rng = np.random.default_rng(2)
     for _ in range(200):
         x = rng.uniform(0, 1, 4)
         a, y = rng.uniform(-2, 2), rng.uniform(0, 1)
-        assert shifted_penalty_value(P, x, a, y) == pytest.approx(
-            P.evaluate(x, y), abs=1e-9
-        )
+        assert P.evaluate(x + a, y + a) == pytest.approx(P.evaluate(x, y), abs=1e-9)
 
 
-def test_explicit_bracket_and_errors():
-    P = least_squares_penalty()
-    cfg = MinimizerConfig(bracket=Interval(0.0, 10.0))
-    assert minimize_penalty(P, [2, 4], cfg) == pytest.approx(3.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        MinimizerConfig(grid_points=2)
-    with pytest.raises(ValueError):
-        PenaltySpec()
-    bad = PenaltySpec(whole=lambda xs, y: float("nan"))
+def test_non_finite_penalty_is_refused():
+    bad = PenaltySpec(term=lambda xs, y: np.nan * (xs - y))
     with pytest.raises(ValueError):
         minimize_penalty(bad, [0, 1])
 
 
 def test_sublevel_convexity_sanity_check():
     assert sublevel_convexity_check(least_squares_penalty(), [0, 1, 2])
-    wiggly = PenaltySpec(whole=lambda xs, y: float(np.cos(8 * y)) + 2.0)
+    wiggly = PenaltySpec(term=lambda xs, y: np.cos(8 * y) + 2.0 + 0.0 * xs)
     assert not sublevel_convexity_check(wiggly, [0, 3])

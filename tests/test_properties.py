@@ -197,9 +197,15 @@ def test_directional_derivative_matches_analytic_power_mean():
 
 def test_mixture_sufficient_condition():
     unit = Interval(0.0, 1.0)
-    assert not check_mixture_sufficient_condition(lambda t: 1.0, unit).violated
+    r = check_mixture_sufficient_condition(lambda t: 1.0, unit)
+    assert not r.violated
+    # every grid point tested, three weight calls each for the finite difference
+    assert (r.samples_used, r.evaluations) == (1001, 3003)
+    assert r.elapsed_s > 0
     r = check_mixture_sufficient_condition(lambda t: t, unit, dw_fn=lambda t: 1.0)
     assert r.violated and r.witness["t"] < 0.5
+    # stops at the first grid point, after one w and one w' call
+    assert (r.samples_used, r.evaluations) == (1, 2)
     r = check_mixture_sufficient_condition(
         lambda t: math.exp(5 * t), unit, dw_fn=lambda t: 5 * math.exp(5 * t)
     )

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from weakmeans import FilterConfig, GrayImage, filter_image, filter_pixel, minimize_penalty
-from weakmeans.penalty import MinimizerConfig
 from weakmeans import tonal
 from weakmeans.tonal import (
     BOUNDARIES,
