@@ -143,14 +143,19 @@ def lts(x: ArrayLike) -> float:
     return next(m for s, m in stats if s <= best_sse + tol)
 
 
+def _owa_weights(delta: ArrayLike) -> np.ndarray:
+    d = np.asarray(delta, dtype=float)
+    if np.any(d < 0) or d.sum() <= 0:
+        raise ValueError("delta must be non-negative with positive sum")
+    return d
+
+
 def owa_penalty(delta: ArrayLike) -> PenaltySpec:
     """OWA penalty sum_i delta_i * S_i((x - y)^2), S_i the i-th smallest.
 
     The term sorts the squared residuals along the last axis, so it
     broadcasts over a column of candidates y like every other term."""
-    d = np.asarray(delta, dtype=float)
-    if np.any(d < 0) or d.sum() <= 0:
-        raise ValueError("delta must be non-negative with positive sum")
+    d = _owa_weights(delta)
     return PenaltySpec(term=lambda xs, y: d * np.sort((xs - y) ** 2, axis=-1))
 
 
@@ -166,34 +171,27 @@ def owa_penalty_estimator(x: ArrayLike, delta: ArrayLike) -> float:
     independent reference the tests compare it with.
     """
     x = _as_input(x)
-    d = np.asarray(delta, dtype=float)
+    d = _owa_weights(delta)
     if d.shape != x.shape:
         raise ValueError("delta must match the input length")
-    if np.any(d < 0) or d.sum() <= 0:
-        raise ValueError("delta must be non-negative with positive sum")
-
-    lo, hi = float(x.min()), float(x.max())
-    if lo == hi:
-        return lo
     # Segment boundaries: ordering of (x_i - y)^2 changes only at pairwise
-    # midpoints.  Within a segment the objective is one strictly convex
-    # quadratic with vertex sum(d_i x_sigma(i)) / sum(d).
-    mids = (x[:, None] + x[None, :]) / 2.0
-    bounds = np.unique(np.concatenate([mids.ravel(), [lo, hi]]))
-    bounds = bounds[(bounds >= lo) & (bounds <= hi)]
+    # midpoints (the data points are the i = j ones).  Within a segment the
+    # objective is one strictly convex quadratic with vertex
+    # sum(d_i x_sigma(i)) / sum(d), clipped to the segment for its minimum.
+    bounds = np.unique((x[:, None] + x[None, :]) / 2.0)
+    if bounds.size == 1:
+        return float(bounds[0])
     centers = 0.5 * (bounds[:-1] + bounds[1:])
-    order = np.argsort(np.abs(x[None, :] - centers[:, None]), axis=1, kind="stable")
-    xs_seg = x[order]  # per-segment residual-magnitude ordering of the data
-    total = d.sum()
-    vertices = (xs_seg @ d) / total
-    vertices = np.clip(vertices, bounds[:-1], bounds[1:])
-
-    cand = np.unique(np.concatenate([bounds, vertices]))
-    r2 = np.sort((x[None, :] - cand[:, None]) ** 2, axis=1)
-    vals = r2 @ d
+    # per-segment residual-magnitude ordering of the data
+    xs = x[np.argsort(np.abs(x[None, :] - centers[:, None]), axis=1, kind="stable")]
+    y = np.clip((xs @ d) / d.sum(), bounds[:-1], bounds[1:])
+    vals = ((xs - y[:, None]) ** 2) @ d
+    # Ties are decided between segment minima only: a vertex clipped to the
+    # right end of any segment but the last is no minimum (the next segment
+    # is lower there), so it cannot win a tie over a true minimum beside it.
+    vals[:-1][y[:-1] == bounds[1:-1]] = np.inf
     best = float(vals.min())
-    tie_tol = 1e-12 * max(1.0, abs(best))
-    return float(cand[int(np.argmax(vals <= best + tie_tol))])
+    return float(y[int(np.argmax(vals <= best + 1e-12 * max(1.0, best)))])
 
 
 def cauchy_kernel(t: np.ndarray) -> np.ndarray:

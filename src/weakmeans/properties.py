@@ -125,6 +125,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.samples <= 0 or self.tol <= 0:
             raise ValueError("samples and tol must be positive")
+        if not 0 < self.shift_max < math.inf:
+            raise ValueError(f"shift_max must be positive and finite, got {self.shift_max}")
         if not 0.0 <= self.boundary_fraction <= 1.0:
             raise ValueError("boundary_fraction must lie in [0, 1]")
 
@@ -191,6 +193,8 @@ def _draw_x(cfg: SamplerConfig):
 
 def _arity(F: Aggregator, n: int | None) -> int:
     if n is not None:
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
         return n
     if F.arity is not None:
         return F.arity

@@ -86,14 +86,6 @@ class FilterConfig:
         return (np.hypot(s, t0) / np.hypot(s, t)) ** 2
 
 
-def _anchored_mode(window: np.ndarray, step: float) -> float:
-    # bins anchored at the window minimum keep the estimate shift-invariant
-    base = float(window.min())
-    k = np.round((window - base) / step)
-    values, counts = np.unique(k, return_counts=True)
-    return base + step * float(values[np.argmax(counts)])
-
-
 def center_estimate(window: np.ndarray, center_value: float, cfg: FilterConfig) -> float:
     if cfg.estimator == "center":
         return float(center_value)
@@ -101,7 +93,9 @@ def center_estimate(window: np.ndarray, center_value: float, cfg: FilterConfig) 
         return median(window)
     if cfg.estimator == "shorth":
         return location.shorth(window)
-    return _anchored_mode(window, cfg.mode_quantize)
+    # bins anchored at the window minimum keep the estimate shift-invariant
+    base = float(window.min())
+    return base + location.mode(window - base, cfg.mode_quantize)
 
 
 def _center_rows(x: np.ndarray, center: np.ndarray, cfg: FilterConfig) -> np.ndarray:

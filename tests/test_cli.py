@@ -116,6 +116,17 @@ def test_check_unknown_property(capsys):
     assert code == 2 and "property" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("averaging", "mean", "--n", "0"), "n must be at least 1"),
+    (("averaging", "mean", "--n", "-2"), "n must be at least 1"),
+    (("weakly-monotone", "mean", "--n", "3", "--shift-max", "0"), "shift_max"),
+], ids=["n-zero", "n-negative", "shift-max-zero"])
+def test_check_bad_arity_or_shift_is_a_usage_error(capsys, argv, message):
+    # exit 1 means "property violated", so a bad parameter must exit 2
+    code, out, err = run(capsys, "check", *argv)
+    assert code == 2 and out == "" and message in err
+
+
 def test_table(capsys):
     code, out, _ = run(capsys, "table", "--q-list", "1,3,0.5", "--n-max", "3",
                        "--samples", "2000")

@@ -98,6 +98,18 @@ def test_owa_penalty_estimator_values():
         owa_penalty_estimator([1, 2, 3], [1, 1])
 
 
+def test_owa_ties_are_decided_between_segment_minima():
+    # the LTS vertex 0.5000001 lies 1e-7 right of the midpoint 0.5, whose
+    # objective is within the 1e-12 tie tolerance; a bound is no minimum there
+    x = [0, 0.5 + 3e-7, 1, 5, 6]
+    assert owa_penalty_estimator(x, [1, 1, 1, 0, 0]) == lts(x) == pytest.approx(0.5000001, abs=1e-15)
+    # symmetric data: two minimisers, 10/3 and 20/3; the leftmost is returned
+    assert owa_penalty_estimator([0, 1, 9, 10], [1, 1, 1, 0]) == pytest.approx(10 / 3, abs=1e-15)
+    # a vertex at the right end of the last segment is a minimum: the only one here
+    assert owa_penalty_estimator([0, 10, 10], [1, 1, 0]) == 10.0
+    assert owa_penalty_estimator([0, 0, 10], [1, 1, 0]) == 0.0
+
+
 def lms_delta(n):
     d = np.zeros(n)
     if n % 2 == 0:
@@ -114,16 +126,16 @@ def test_owa_special_case_equivalences():
         x = rng.uniform(0, 10, n)
         h = n // 2 + 1
         assert owa_penalty_estimator(x, np.ones(n)) == pytest.approx(
-            x.mean(), abs=1e-7
+            x.mean(), abs=1e-12
         )
         cheb = np.zeros(n)
         cheb[-1] = 1.0
-        assert owa_penalty_estimator(x, cheb) == pytest.approx(midrange(x), abs=1e-7)
+        assert owa_penalty_estimator(x, cheb) == pytest.approx(midrange(x), abs=1e-12)
         assert owa_penalty_estimator(x, lms_delta(n)) == pytest.approx(
-            lms(x), abs=1e-7
+            lms(x), abs=1e-12
         )
         trim = np.concatenate([np.ones(h), np.zeros(n - h)])
-        assert owa_penalty_estimator(x, trim) == pytest.approx(lts(x), abs=1e-7)
+        assert owa_penalty_estimator(x, trim) == pytest.approx(lts(x), abs=1e-12)
 
 
 def test_owa_exact_agrees_with_penalty_engine_route():

@@ -283,6 +283,17 @@ def test_sampler_config_validation():
         SamplerConfig(samples=0)
     with pytest.raises(ValueError):
         SamplerConfig(boundary_fraction=1.5)
+    for shift_max in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="shift_max"):
+            SamplerConfig(shift_max=shift_max)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_arity_below_one_is_refused(n):
+    # n = 0 used to divide by zero in the sampling loop, n < 0 to fail in NumPy
+    for check in CHECKS.values():
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            check(MEAN, n=n, cfg=FAST)
 
 
 def _row_params(name, n):
