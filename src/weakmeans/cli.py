@@ -7,6 +7,7 @@ printed), 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -106,7 +107,11 @@ def _add_mean_params(p: argparse.ArgumentParser):
     p.add_argument("--weights", default=None, help="comma-separated weights")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every `main`
+    call: `parse_args` returns a fresh namespace each time, and `main` never
+    changes the parser, so no state carries over from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="weakmeans",
         description="Weakly monotone averaging functions and their verification",

@@ -145,6 +145,8 @@ def lts(x: ArrayLike) -> float:
 
 def _owa_weights(delta: ArrayLike) -> np.ndarray:
     d = np.asarray(delta, dtype=float)
+    if not np.all(np.isfinite(d)):
+        raise ValueError(f"OWA weights delta must be finite, got {d}")
     if np.any(d < 0) or d.sum() <= 0:
         raise ValueError("delta must be non-negative with positive sum")
     return d

@@ -71,6 +71,8 @@ def _norm_weights(w: ArrayLike | None, n: int) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"expected {n} weights, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"weights must be finite, got {w}")
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
     total = w.sum()

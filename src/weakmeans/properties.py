@@ -125,6 +125,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.samples <= 0 or self.tol <= 0:
             raise ValueError("samples and tol must be positive")
+        if not math.isfinite(self.tol):
+            raise ValueError(f"tol must be finite, got {self.tol}")
         if not 0 < self.shift_max < math.inf:
             raise ValueError(f"shift_max must be positive and finite, got {self.shift_max}")
         if not 0.0 <= self.boundary_fraction <= 1.0:

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 
 import weakmeans
 from weakmeans import GrayImage, read_pgm, write_pgm
+from weakmeans import cli
 from weakmeans.cli import main
 
 
@@ -120,11 +123,25 @@ def test_check_unknown_property(capsys):
     (("averaging", "mean", "--n", "0"), "n must be at least 1"),
     (("averaging", "mean", "--n", "-2"), "n must be at least 1"),
     (("weakly-monotone", "mean", "--n", "3", "--shift-max", "0"), "shift_max"),
-], ids=["n-zero", "n-negative", "shift-max-zero"])
+    (("monotone", "lehmer", "--q", "2", "--n", "3", "--tol", "nan"), "tol"),
+    (("monotone", "lehmer", "--q", "2", "--n", "3", "--tol", "inf"), "tol"),
+], ids=["n-zero", "n-negative", "shift-max-zero", "tol-nan", "tol-inf"])
 def test_check_bad_arity_or_shift_is_a_usage_error(capsys, argv, message):
     # exit 1 means "property violated", so a bad parameter must exit 2
     code, out, err = run(capsys, "check", *argv)
     assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gini", "--p", "1", "--q", "2", "--weights", "nan,1,1"),
+    ("owa", "--weights", "nan,1,1"),
+    ("power", "--p", "2", "--weights", "inf,1,1"),
+    ("owa-penalty", "--weights", "nan,1,1"),
+    ("owa-penalty", "--weights", "inf,1,1"),
+])
+def test_non_finite_weights_are_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, "aggregate", *argv, "--", "1", "2", "3")
+    assert code == 2 and out == "" and "weights" in err and "must be finite" in err
 
 
 def test_table(capsys):
@@ -199,3 +216,42 @@ def test_runs_as_a_module(module):
     assert (proc.returncode, proc.stdout) == (0, "1.5\n")
     proc = run_module("aggregate", "nosuchmean", "--", "1")
     assert proc.returncode == 2 and "unknown mean" in proc.stderr
+
+
+def _without_timing(text):
+    # a report's elapsed time is the one field that differs between two runs
+    text = re.sub(r'"elapsed_s": [^,}]+', '"elapsed_s": T', text)
+    return re.sub(r", [^ ]+ s\)$", ", T s)", text, flags=re.M)
+
+
+def test_reused_parser_leaks_no_state_between_calls(capsys, monkeypatch):
+    calls = [
+        ("aggregate", "lehmer", "--q", "1", "--", "1", "0.5"),
+        ("aggregate", "mean", "--", "-3", "4", "8", "1"),
+        ("check", "weakly-monotone", "lehmer", "--q", "2", "--n", "3"),
+        ("check", "weakly-monotone", "lehmer", "--q", "2", "--n", "3", "--format", "machine"),
+        ("aggregate", "--q", "1"),
+        ("aggregate", "median", "--", "5", "1", "2"),
+        ("--help",),
+        ("check", "--help"),
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at the terminal width
+    env = {**os.environ, "PYTHONPATH": str(Path(weakmeans.__file__).parents[1])}
+    built = []  # every parser and subparser constructed
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    seen = []
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        seen.append(len(built))
+        fresh = subprocess.run([sys.executable, "-m", "weakmeans", *argv], capture_output=True,
+                               text=True, env=env, timeout=120)
+        assert (code, _without_timing(out), err) == (
+            fresh.returncode, _without_timing(fresh.stdout), fresh.stderr), argv
+    assert seen[0] > 0 and seen == [seen[0]] * len(calls)

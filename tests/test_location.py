@@ -96,6 +96,9 @@ def test_owa_penalty_estimator_values():
         owa_penalty_estimator([1, 2], [0, 0])
     with pytest.raises(ValueError):
         owa_penalty_estimator([1, 2, 3], [1, 1])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="weights delta must be finite"):
+            owa_penalty_estimator([1, 2, 3], [bad, 1, 1])
 
 
 def test_owa_ties_are_decided_between_segment_minima():

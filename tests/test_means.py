@@ -69,6 +69,17 @@ def test_zero_weight_component_takes_no_part():
                 assert gini_mean(x0, p, q, w0) == pytest.approx(gini_mean(x, p, q, w), rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_weights_are_refused(bad):
+    # NaN passed both the sign and the sum checks and came out as 0 or NaN
+    w = [bad, 1.0, 1.0]
+    x = [1.0, 2.0, 3.0]
+    for mean in (lambda: owa(x, w), lambda: power_mean(x, 2, w),
+                 lambda: gini_mean(x, 1, 2, w), lambda: quasi_arithmetic_mean(x, np.log, math.exp, w)):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            mean()
+
+
 def test_quasi_arithmetic_mean():
     assert quasi_arithmetic_mean([1, 2, 3], lambda t: t, lambda t: t) == 2
     geom = quasi_arithmetic_mean([1, 4], np.log, math.exp)

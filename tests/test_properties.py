@@ -286,6 +286,9 @@ def test_sampler_config_validation():
     for shift_max in (0.0, -0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="shift_max"):
             SamplerConfig(shift_max=shift_max)
+    for tol in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            SamplerConfig(tol=tol)
 
 
 @pytest.mark.parametrize("n", [0, -2])
