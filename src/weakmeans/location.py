@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .means import _as_input, _as_rows
-from .penalty import PenaltySpec
 
 ArrayLike = Sequence[float] | np.ndarray
 
@@ -152,13 +151,13 @@ def _owa_weights(delta: ArrayLike) -> np.ndarray:
     return d
 
 
-def owa_penalty(delta: ArrayLike) -> PenaltySpec:
+def owa_penalty(delta: ArrayLike) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """OWA penalty sum_i delta_i * S_i((x - y)^2), S_i the i-th smallest.
 
     The term sorts the squared residuals along the last axis, so it
     broadcasts over a column of candidates y like every other term."""
     d = _owa_weights(delta)
-    return PenaltySpec(term=lambda xs, y: d * np.sort((xs - y) ** 2, axis=-1))
+    return lambda xs, y: d * np.sort((xs - y) ** 2, axis=-1)
 
 
 def owa_penalty_estimator(x: ArrayLike, delta: ArrayLike) -> float:

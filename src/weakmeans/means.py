@@ -185,24 +185,18 @@ def order_statistic(x: ArrayLike, k: int) -> float:
     return float(np.sort(x)[k - 1])
 
 
-def median(x: ArrayLike, convention: str = "mean") -> float:
-    """Middle order statistic; even n uses the chosen convention."""
+def median(x: ArrayLike) -> float:
+    """Middle order statistic; even n averages the two middle values
+    (``order_statistic`` gives the lower and the upper one)."""
     x = np.sort(_as_input(x))
     n = x.size
     if n % 2 == 1:
         return float(x[n // 2])
-    lo, hi = float(x[n // 2 - 1]), float(x[n // 2])
-    if convention == "mean":
-        return 0.5 * (lo + hi)
-    if convention == "lower":
-        return lo
-    if convention == "upper":
-        return hi
-    raise ValueError(f"unknown median convention {convention!r}")
+    return 0.5 * (float(x[n // 2 - 1]) + float(x[n // 2]))
 
 
 def median_rows(X: ArrayLike) -> np.ndarray:
-    """``median`` of every row, even n by the mean convention."""
+    """``median`` of every row."""
     s = np.sort(_as_rows(X), axis=-1)
     n = s.shape[-1]
     if n % 2 == 1:

@@ -11,7 +11,6 @@ grid-global minimum with golden-section search in the adjacent cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,38 +20,29 @@ from .means import _as_input
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 # Elements (candidates x inputs) of one broadcast ``term`` call in
-# ``PenaltySpec.evaluate_many``; bounds each temporary of the scan to 0.5 MB
-# whatever the number of inputs.
+# ``penalty_values``; bounds each temporary of the scan to 0.5 MB whatever
+# the number of inputs.
 _SCAN_BLOCK = 1 << 16
 _GRID_POINTS = 2001  # uniform scan points on [min x, max x]
 _REFINE_TOL = 1e-10  # golden-section bracket width at which refinement stops
 
+# A penalty is its per-input term: P(x, y) = sum of term(x, y), >= 0 with
+# equality iff all x_i = y.  The term must broadcast: called with x of shape
+# (1, n) and y an (m, 1) column of candidates it returns the (m, n) terms,
+# row k being the terms at y[k], so one call scans m candidates.
+Term = Callable[[np.ndarray, float | np.ndarray], np.ndarray]
 
-@dataclass
-class PenaltySpec:
-    """Penalty P(x, y) = sum of ``term(x, y)``, >= 0 with equality iff all
-    x_i = y.
 
-    ``term`` gives the per-input terms and must broadcast: called with x of
-    shape (1, n) and y an (m, 1) column of candidates it returns the (m, n)
-    terms, row k being the terms at y[k], so one call scans m candidates.
-    """
-
-    term: Callable[[np.ndarray, float | np.ndarray], np.ndarray]
-
-    def evaluate(self, x: np.ndarray, y: float) -> float:
-        return float(np.sum(self.term(np.asarray(x, dtype=float), y)))
-
-    def evaluate_many(self, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """P(x, y) for every y in ys; equal, bit for bit, to ``evaluate``
-        called once per y."""
-        x = np.asarray(x, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        rows = max(1, _SCAN_BLOCK // x.size)
-        out = np.empty(ys.size)
-        for i in range(0, ys.size, rows):
-            out[i : i + rows] = np.sum(self.term(x[None, :], ys[i : i + rows, None]), axis=1)
-        return out
+def penalty_values(term: Term, x: np.ndarray, ys) -> np.ndarray:
+    """P(x, y) for every y in ys; equal, bit for bit, to
+    ``float(np.sum(term(x, y)))`` for each y alone."""
+    x = np.asarray(x, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    rows = max(1, _SCAN_BLOCK // x.size)
+    out = np.empty(ys.size)
+    for i in range(0, ys.size, rows):
+        out[i : i + rows] = np.sum(term(x[None, :], ys[i : i + rows, None]), axis=1)
+    return out
 
 
 def golden_section(
@@ -80,7 +70,7 @@ def golden_section(
     return (c, yc) if yc < yd else (d, yd)
 
 
-def minimize_penalty(P: PenaltySpec, x) -> float:
+def minimize_penalty(term: Term, x) -> float:
     """Leftmost global minimiser of y -> P(x, y) over [min x, max x].
 
     All input values are injected into the scan so quasi-penalties whose
@@ -93,7 +83,7 @@ def minimize_penalty(P: PenaltySpec, x) -> float:
         return lo
 
     cand = np.unique(np.concatenate([np.linspace(lo, hi, _GRID_POINTS), x]))
-    vals = P.evaluate_many(x, cand)
+    vals = penalty_values(term, x, cand)
     if not np.all(np.isfinite(vals)):
         raise ValueError("penalty produced non-finite values on the bracket")
 
@@ -103,7 +93,7 @@ def minimize_penalty(P: PenaltySpec, x) -> float:
     best_v = best
 
     # refine around every grid-global minimum in both adjacent cells
-    f = lambda y: P.evaluate(x, y)
+    f = lambda y: float(np.sum(term(x, y)))
     for i in np.flatnonzero(vals <= best + tie_tol):
         for a, b in ((cand[max(i - 1, 0)], cand[i]), (cand[i], cand[min(i + 1, cand.size - 1)])):
             if b - a <= _REFINE_TOL:
@@ -119,7 +109,7 @@ def minimize_penalty(P: PenaltySpec, x) -> float:
         ya, yb = best_y - delta, best_y + delta
         if ya < lo or yb > hi:  # vertex formula needs the symmetric stencil
             break
-        fa, f0, fb = f(ya), f(best_y), f(yb)
+        fa, f0, fb = penalty_values(term, x, [ya, best_y, yb]).tolist()
         denom = fa - 2.0 * f0 + fb
         if denom <= tie_tol:  # no resolvable curvature (plateau or noise floor)
             break
@@ -133,7 +123,7 @@ def minimize_penalty(P: PenaltySpec, x) -> float:
     return best_y
 
 
-def mixture_penalty(w_fn: Callable[[np.ndarray], np.ndarray]) -> PenaltySpec:
+def mixture_penalty(w_fn: Callable[[np.ndarray], np.ndarray]) -> Term:
     """Quadratic penalty sum w(x_i) (x_i - y)^2 whose argmin is the mixture mean."""
 
     def term(xs: np.ndarray, y: float) -> np.ndarray:
@@ -142,36 +132,32 @@ def mixture_penalty(w_fn: Callable[[np.ndarray], np.ndarray]) -> PenaltySpec:
             raise ValueError("weight function must be non-negative")
         return w * (xs - y) ** 2
 
-    return PenaltySpec(term=term)
+    return term
 
 
-def least_squares_penalty() -> PenaltySpec:
-    return PenaltySpec(term=lambda xs, y: (xs - y) ** 2)
+def least_squares_penalty(xs: np.ndarray, y) -> np.ndarray:
+    return (xs - y) ** 2
 
 
-def absolute_penalty() -> PenaltySpec:
-    return PenaltySpec(term=lambda xs, y: np.abs(xs - y))
+def absolute_penalty(xs: np.ndarray, y) -> np.ndarray:
+    return np.abs(xs - y)
 
 
-def mode_penalty() -> PenaltySpec:
+def mode_penalty(xs: np.ndarray, y) -> np.ndarray:
     """Counting quasi-penalty: 0 for matching inputs, 1 otherwise."""
-    return PenaltySpec(term=lambda xs, y: (xs != y).astype(float))
+    return (xs != y).astype(float)
 
 
-def sublevel_convexity_check(
-    P: PenaltySpec, x, samples: int = 200, seed: int = 0
-) -> bool:
-    """Sampled sanity check that y -> P(x, y) has convex sublevel sets."""
+def sublevel_convexity_check(term: Term, x, samples: int = 200, seed: int = 0) -> bool:
+    """Sampled sanity check that y -> P(x, y) has convex sublevel sets: P at
+    a point between a and b is at most max(P(a), P(b))."""
     x = _as_input(x)
     lo, hi = float(x.min()), float(x.max())
     if lo == hi:
         return True
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        a, b = np.sort(rng.uniform(lo, hi, size=2))
-        t = rng.uniform()
-        mid = a + t * (b - a)
-        cap = max(P.evaluate(x, a), P.evaluate(x, b))
-        if P.evaluate(x, mid) > cap + 1e-9 * max(1.0, abs(cap)):
-            return False
-    return True
+    u = np.random.default_rng(seed).uniform(size=(samples, 3))
+    a, b = np.sort(lo + (hi - lo) * u[:, :2], axis=1).T
+    mid = a + u[:, 2] * (b - a)
+    pa, pb, pm = penalty_values(term, x, np.concatenate([a, b, mid])).reshape(3, samples)
+    cap = np.maximum(pa, pb)
+    return not np.any(pm > cap + 1e-9 * np.maximum(1.0, np.abs(cap)))

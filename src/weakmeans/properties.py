@@ -1,7 +1,7 @@
 """Numerical falsification of monotonicity-class properties.
 
-Each check samples the aggregator's domain (with a configurable share of
-boundary-biased points), reports "no-violation-found" or "violated", and on
+Each check samples the aggregator's domain (a fifth of the points biased
+toward the boundary), reports "no-violation-found" or "violated", and on
 violation carries a concrete witness that replays deterministically.
 Sampling can never certify a property, so "no-violation-found" is the
 strongest positive verdict.
@@ -93,6 +93,9 @@ def named_aggregator(
         if value is not None and param not in takes:
             raise ValueError(f"{name} takes no --{param}")
     scalars = {k: float(given[k]) for k in entry.params if k != "weights"}
+    for param, value in scalars.items():
+        if math.isnan(value):
+            raise ValueError(f"--{param} must be a number, got {value}")
     args = [w if k == "weights" else scalars[k] for k in entry.params]
     if entry.weighted:
         args.append(w)
@@ -118,7 +121,6 @@ class SamplerConfig:
     shift_max: float = 0.5
     seed: int = 0
     tol: float = 1e-9
-    boundary_fraction: float = 0.2
     box: Interval | None = None  # finite sampling box; default derived from domain
     probe_points: Sequence = field(default_factory=tuple)  # tried before sampling
 
@@ -129,8 +131,6 @@ class SamplerConfig:
             raise ValueError(f"tol must be finite, got {self.tol}")
         if not 0 < self.shift_max < math.inf:
             raise ValueError(f"shift_max must be positive and finite, got {self.shift_max}")
-        if not 0.0 <= self.boundary_fraction <= 1.0:
-            raise ValueError("boundary_fraction must lie in [0, 1]")
 
 
 @dataclass
@@ -173,24 +173,22 @@ def _sampling_box(F: Aggregator, cfg: SamplerConfig) -> Interval:
     return Interval(lo, hi)
 
 
-def _sample_x(rng: np.random.Generator, m: int, n: int, box: Interval,
-              boundary_fraction: float) -> np.ndarray:
+_BOUNDARY_FRACTION = 0.2  # share of sampled points biased toward the boundary
+
+
+def _sample_x(rng: np.random.Generator, m: int, n: int, box: Interval) -> np.ndarray:
     """m points of the box, a share of them biased toward its faces, edges
     and vertices.  Drawn in this order: the points (m, n); per row a
     boundary coin, a face rate and a fallback coordinate (m each); the face
     coins (m, n); the side coins (m, n)."""
     x = rng.uniform(box.lo, box.hi, size=(m, n))
-    biased = rng.uniform(size=m) < boundary_fraction
+    biased = rng.uniform(size=m) < _BOUNDARY_FRACTION
     rate = rng.uniform(0.2, 1.0, size=m)
     fallback = rng.integers(n, size=m)
     face = (rng.uniform(size=(m, n)) < rate[:, None]) & biased[:, None]
     empty = biased & ~face.any(axis=1)
     face[empty, fallback[empty]] = True  # a biased point has a face coordinate
     return np.where(face, np.where(rng.uniform(size=(m, n)) < 0.5, box.lo, box.hi), x)
-
-
-def _draw_x(cfg: SamplerConfig):
-    return lambda rng, m, n, box, i: (_sample_x(rng, m, n, box, cfg.boundary_fraction),)
 
 
 def _arity(F: Aggregator, n: int | None) -> int:
@@ -286,7 +284,7 @@ def check_weak_monotonicity(
     cfg = cfg or SamplerConfig()
 
     def draw(rng, m, n, box, i):
-        x = _sample_x(rng, m, n, box, cfg.boundary_fraction)
+        x = _sample_x(rng, m, n, box)
         return x, np.minimum(rng.uniform(0.0, cfg.shift_max, size=m), F.domain.hi - x.max(axis=-1))
 
     def test(G, x, a):
@@ -306,7 +304,7 @@ def check_monotonicity(
         # after x: a coordinate and its step per sample (m each), then a
         # step per coordinate (m, n); odd samples raise one coordinate,
         # even samples all
-        x = _sample_x(rng, m, n, box, cfg.boundary_fraction)
+        x = _sample_x(rng, m, n, box)
         j = rng.integers(n, size=m)
         one = rng.uniform(0.0, cfg.shift_max, size=m)[:, None] * (np.arange(n) == j[:, None])
         y = x + np.where(i[:, None] % 2 == 1, one, rng.uniform(0.0, cfg.shift_max, size=(m, n)))
@@ -326,7 +324,7 @@ def check_shift_invariance(
     cfg = cfg or SamplerConfig()
 
     def draw(rng, m, n, box, i):
-        x = _sample_x(rng, m, n, box, cfg.boundary_fraction)
+        x = _sample_x(rng, m, n, box)
         a = rng.uniform(-cfg.shift_max, cfg.shift_max, size=m)
         return x, np.clip(a, F.domain.lo - x.min(axis=-1), F.domain.hi - x.max(axis=-1))
 
@@ -345,7 +343,7 @@ def check_homogeneity(
     cfg = cfg or SamplerConfig()
 
     def draw(rng, m, n, box, i):
-        x = _sample_x(rng, m, n, box, cfg.boundary_fraction)
+        x = _sample_x(rng, m, n, box)
         lam = rng.uniform(0.05, 10.0, size=m)
         top = np.abs(x).max(axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -386,7 +384,8 @@ def check_averaging(
         fx = G(x)
         return (fx < x.min(axis=-1) - cfg.tol) | (fx > x.max(axis=-1) + cfg.tol), {"value": fx}
 
-    return _falsify("averaging", F, n, cfg, ("x",), _draw_x(cfg), test)
+    draw = lambda rng, m, n, box, i: (_sample_x(rng, m, n, box),)
+    return _falsify("averaging", F, n, cfg, ("x",), draw, test)
 
 
 def check_internality(
@@ -399,7 +398,8 @@ def check_internality(
         fx = G(x)
         return np.abs(x - fx[..., None]).min(axis=-1) > cfg.tol, {"value": fx}
 
-    return _falsify("internal", F, n, cfg, ("x",), _draw_x(cfg), test)
+    draw = lambda rng, m, n, box, i: (_sample_x(rng, m, n, box),)
+    return _falsify("internal", F, n, cfg, ("x",), draw, test)
 
 
 CHECKS = {
@@ -462,6 +462,8 @@ def lehmer_bound_table(
 ) -> list[dict]:
     """Theoretical weak-monotonicity bound vs empirical sampling verdict for
     the Lehmer mean over a (q, n) grid."""
+    if any(math.isnan(q) for q in q_values):
+        raise ValueError(f"q must be a number, got {list(q_values)}")
     cfg = cfg or SamplerConfig(samples=20_000)
     sub = replace(cfg, box=cfg.box or Interval(0.0, 1.0))
     rows = []

@@ -14,15 +14,15 @@ estimators and is the reference the tests compare the whole-image path with.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import location
 from .means import median, median_rows
-from .penalty import PenaltySpec
 from .pgm import GrayImage
 
 TONAL_KERNELS = ("gaussian", "cauchy")
@@ -50,8 +50,10 @@ class FilterConfig:
     def __post_init__(self):
         if self.radius < 0:
             raise ValueError("radius must be >= 0")
-        if self.spatial_sigma <= 0 or self.tonal_sigma <= 0 or self.huber_delta <= 0:
-            raise ValueError("sigma and delta parameters must be positive")
+        for name in ("spatial_sigma", "tonal_sigma", "huber_delta"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         for value, allowed in (
             (self.tonal_kernel, TONAL_KERNELS),
             (self.estimator, ESTIMATORS),
@@ -188,14 +190,16 @@ def filter_pixel(
     return float(huber_argmin(window, u, cfg.huber_delta))
 
 
-def tonal_penalty(window: np.ndarray, center_value: float, cfg: FilterConfig,
-                  spatial: np.ndarray | None = None) -> PenaltySpec:
-    """The per-pixel penalty sum u_i D(x_i - y) made explicit; minimised by
-    the penalty engine it is the reference for ``filter_pixel``."""
+def tonal_penalty(
+    window: np.ndarray, center_value: float, cfg: FilterConfig, spatial: np.ndarray | None = None
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The per-pixel penalty sum u_i D(x_i - y) made explicit as its
+    broadcasting term; minimised by the penalty engine it is the reference
+    for ``filter_pixel``."""
     u = _reference_weights(window, center_value, cfg, spatial)[1]
     if cfg.dissimilarity == "squared":
-        return PenaltySpec(term=lambda xs, y: u * (xs - y) ** 2)
-    return PenaltySpec(term=lambda xs, y: u * _huber(xs - y, cfg.huber_delta))
+        return lambda xs, y: u * (xs - y) ** 2
+    return lambda xs, y: u * _huber(xs - y, cfg.huber_delta)
 
 
 def filter_image(img: GrayImage, cfg: FilterConfig) -> GrayImage:

@@ -37,28 +37,24 @@ def phi_transform(
     A: Aggregator,
     phi: Callable[[float], float],
     phi_inv: Callable[[float], float],
-    linear: bool | None = None,
     domain: Interval | None = None,
 ) -> Aggregator:
     """Conjugate x -> phi_inv(A(phi(x_1), ..., phi(x_n))).
 
-    ``linear`` may be declared by the caller; otherwise affinity is detected
-    by collinearity.  Only affine phi carries the weak-monotonicity guarantee
-    through to the result's annotations.
+    Only affine phi, detected by collinearity on the domain, carries the
+    weak-monotonicity guarantee through to the result's annotations.
     """
     domain = domain or A.domain
     lo = domain.lo if math.isfinite(domain.lo) else 0.0
     hi = domain.hi if math.isfinite(domain.hi) else lo + 1.0
     _check_inverse(phi, phi_inv, lo, hi)
-    if linear is None:
-        linear = is_affine(phi, lo, hi)
 
     def fn(x: np.ndarray) -> float:
         px = np.array([float(phi(v)) for v in x])
         return float(phi_inv(A(px)))
 
     known = set()
-    if linear and implies_weakly_monotone(A.known):
+    if is_affine(phi, lo, hi) and implies_weakly_monotone(A.known):
         known.add("weakly-monotone")
     return Aggregator(
         fn=fn,

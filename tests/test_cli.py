@@ -144,6 +144,16 @@ def test_non_finite_weights_are_a_usage_error(capsys, argv):
     assert code == 2 and out == "" and "weights" in err and "must be finite" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("aggregate", "power", "--p", "nan", "--", "1", "2"), "--p must be a number"),
+    (("check", "monotone", "lehmer", "--q", "nan", "--n", "3"), "--q must be a number"),
+    (("table", "--q-list", "nan", "--n-max", "3"), "q must be a number"),
+], ids=["aggregate-p", "check-q", "table-q-list"])
+def test_nan_exponent_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and message in err
+
+
 def test_table(capsys):
     code, out, _ = run(capsys, "table", "--q-list", "1,3,0.5", "--n-max", "3",
                        "--samples", "2000")
@@ -188,6 +198,20 @@ def test_filter_malformed_input(tmp_path, capsys):
     code, _, err = run(capsys, "filter", "--in", str(src), "--out", str(dst))
     assert code == 2
     assert "truncated" in err
+
+
+@pytest.mark.parametrize("option, name", [
+    ("--tonal-sigma", "tonal_sigma"), ("--spatial-sigma", "spatial_sigma"),
+    ("--huber-delta", "huber_delta"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_filter_non_finite_parameter_is_a_usage_error(tmp_path, capsys, option, name, value):
+    src, dst = tmp_path / "in.pgm", tmp_path / "out.pgm"
+    src.write_bytes(write_pgm(GrayImage(pixels=np.full((4, 4), 0.5), maxval=255)))
+    code, out, err = run(capsys, "filter", "--in", str(src), "--out", str(dst),
+                         "--dissimilarity", "huber", option, value)
+    assert code == 2 and out == "" and f"{name} must be positive and finite" in err
+    assert not dst.exists()
 
 
 def test_usage_error_exit_code(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from weakmeans import (
     arithmetic_mean,
     bajraktarevic_mean,
+    contraharmonic_mean,
     gini_mean,
     lehmer_max_args,
     lehmer_mean,
@@ -102,8 +103,9 @@ def test_order_statistic_and_median():
         order_statistic([5, 2, 9], 4)
     assert median([1, 2, 3]) == 2
     assert median([1, 2, 3, 10]) == 2.5
-    assert median([1, 2, 3, 10], "lower") == 2
-    assert median([1, 2, 3, 10], "upper") == 3
+    # the lower and upper medians of an even-length input
+    assert order_statistic([1, 2, 3, 10], 2) == 2
+    assert order_statistic([1, 2, 3, 10], 3) == 3
     assert median([7, 7, 7, 7]) == 7
 
 
@@ -155,6 +157,24 @@ def test_lehmer_paper_values():
     assert lehmer_mean([0, 0, 0], 3) == 0.0
     with pytest.raises(ValueError):
         lehmer_mean([-1, 2], 1)
+
+
+def test_lehmer_infinite_exponent_limits():
+    # q -> +inf tends to the maximum, q -> -inf to the minimum
+    assert lehmer_mean([1, 2], math.inf) == 2.0
+    assert lehmer_mean([1, 2], -math.inf) == 1.0
+    assert lehmer_mean([0.5, 3, 1], math.inf) == 3.0
+    assert lehmer_mean([0.5, 3, 1], -math.inf) == 0.5
+
+
+def test_contraharmonic_mean_is_lehmer_one():
+    # sum x^2 / sum x
+    assert contraharmonic_mean([1, 2]) == pytest.approx(5 / 3, abs=1e-15)
+    assert contraharmonic_mean([1, 0.5]) == lehmer_mean([1, 0.5], 1.0) == pytest.approx(5 / 6)
+    assert contraharmonic_mean([4, 4, 4]) == 4.0
+    assert contraharmonic_mean([3, 0]) == 3.0  # a zero is neutral
+    with pytest.raises(ValueError):
+        contraharmonic_mean([-1, 2])
 
 
 def test_lehmer_non_monotone_witness():

@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from weakmeans import FilterConfig, GrayImage, filter_image, filter_pixel, minimize_penalty
 from weakmeans import tonal
+from weakmeans.penalty import penalty_values
 from weakmeans.tonal import (
     BOUNDARIES,
     DISSIMILARITIES,
@@ -155,7 +157,7 @@ def test_huber_exact_solve_matches_penalty_oracle(estimator):
             got = filter_pixel(win, win[4], cfg, spatial)
             P = tonal_penalty(win, win[4], cfg, spatial)
             want = minimize_penalty(P, win)
-            obj, obj_engine = P.evaluate(win, got), P.evaluate(win, want)
+            obj, obj_engine = penalty_values(P, win, [got, want])
             assert obj <= obj_engine + 1e-12 * max(1.0, obj)
             assert abs(got - want) <= 1e-6
             assert win.min() <= got <= win.max()
@@ -171,7 +173,8 @@ def test_huber_exact_solve_below_engine_tie_tolerance():
     got = filter_pixel(win, win[4], cfg)
     P = tonal_penalty(win, win[4], cfg)
     engine = minimize_penalty(P, win)
-    assert P.evaluate(win, got) <= P.evaluate(win, engine)
+    at_got, at_engine = penalty_values(P, win, [got, engine])
+    assert at_got <= at_engine
     u = cfg.spatial_weights() * cfg.tonal(np.abs(win - center_estimate(win, win[4], cfg)))
     assert abs(huber_slope(win, u, 0.01, got)) <= 1e-12 * 0.01 * u.sum()
 
@@ -317,6 +320,10 @@ def test_config_validation():
         FilterConfig(radius=-1)
     with pytest.raises(ValueError):
         FilterConfig(spatial_sigma=0)
+    for name in ("spatial_sigma", "tonal_sigma", "huber_delta"):
+        for value in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                FilterConfig(**{name: value})
     with pytest.raises(ValueError):
         FilterConfig(tonal_kernel="box")
     with pytest.raises(ValueError):
