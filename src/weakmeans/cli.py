@@ -170,8 +170,17 @@ def main(argv=None) -> int:
     if "--" in argv:
         split = argv.index("--")
         argv, trailing = argv[:split], argv[split + 1 :]
+    # argparse reads only tokens shaped like -5 or -.5 as negative numbers, so
+    # in "--q -inf" or "--p -1e5" the flag would lose its value.  An exponent
+    # flag takes exactly the next token, so join the two as "--q=-inf".
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in ("--q", "--p"):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(joined)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if trailing:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .means import _as_input, _as_rows
+from .means import _as_input, _as_rows, _check_positive, _check_weights
 
 ArrayLike = Sequence[float] | np.ndarray
 
@@ -29,8 +29,7 @@ def mode(x: ArrayLike, quantize: float | None = None) -> float:
     """
     v = _as_input(x)
     if quantize is not None:
-        if quantize <= 0:
-            raise ValueError("quantize step must be positive")
+        _check_positive(quantize, "quantize")
         v = np.round(v / quantize) * quantize
     values, counts = np.unique(v, return_counts=True)
     return float(values[np.argmax(counts)])  # first max = smallest value
@@ -142,21 +141,12 @@ def lts(x: ArrayLike) -> float:
     return next(m for s, m in stats if s <= best_sse + tol)
 
 
-def _owa_weights(delta: ArrayLike) -> np.ndarray:
-    d = np.asarray(delta, dtype=float)
-    if not np.all(np.isfinite(d)):
-        raise ValueError(f"OWA weights delta must be finite, got {d}")
-    if np.any(d < 0) or d.sum() <= 0:
-        raise ValueError("delta must be non-negative with positive sum")
-    return d
-
-
 def owa_penalty(delta: ArrayLike) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """OWA penalty sum_i delta_i * S_i((x - y)^2), S_i the i-th smallest.
 
     The term sorts the squared residuals along the last axis, so it
     broadcasts over a column of candidates y like every other term."""
-    d = _owa_weights(delta)
+    d = _check_weights(delta, "OWA weights delta")
     return lambda xs, y: d * np.sort((xs - y) ** 2, axis=-1)
 
 
@@ -172,7 +162,7 @@ def owa_penalty_estimator(x: ArrayLike, delta: ArrayLike) -> float:
     independent reference the tests compare it with.
     """
     x = _as_input(x)
-    d = _owa_weights(delta)
+    d = _check_weights(delta, "OWA weights delta")
     if d.shape != x.shape:
         raise ValueError("delta must match the input length")
     # Segment boundaries: ordering of (x_i - y)^2 changes only at pairwise
@@ -195,18 +185,12 @@ def owa_penalty_estimator(x: ArrayLike, delta: ArrayLike) -> float:
     return float(y[int(np.argmax(vals <= best + 1e-12 * max(1.0, best)))])
 
 
-def cauchy_kernel(t: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + t)
-
-
-def density_mean(
-    x: ArrayLike, kernel: Callable[[np.ndarray], np.ndarray] = cauchy_kernel
-) -> float:
+def density_mean(x: ArrayLike) -> float:
     """Weighted mean with weights decaying in each point's mean squared
-    distance to the others through the (default Cauchy) kernel."""
+    distance m to the others through the Cauchy kernel 1 / (1 + m)."""
     x = _as_input(x)
     d2 = (x[:, None] - x[None, :]) ** 2
-    u = np.asarray(kernel(d2.mean(axis=1)), dtype=float)
-    if np.any(u <= 0):
-        raise ValueError("kernel must be strictly positive")
+    u = 1.0 / (1.0 + d2.mean(axis=1))
+    if np.any(u == 0):  # m overflowed to inf
+        raise ValueError("the inputs are too far apart: squared distances overflow")
     return float(np.dot(u, x) / u.sum())

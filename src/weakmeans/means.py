@@ -33,20 +33,24 @@ class Interval:
         if not self.lo <= self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
+    def finite_box(self) -> Interval:
+        """The interval with an infinite end replaced: lo by 0 (by hi - 1
+        when hi < 0, so that the box is not empty), hi by lo + 1."""
+        lo = self.lo if math.isfinite(self.lo) else (0.0 if self.hi >= 0 else self.hi - 1.0)
+        return Interval(lo, self.hi if math.isfinite(self.hi) else lo + 1.0)
+
 
 def _as_input(x: ArrayLike) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError("input must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input values must be finite")
-    return x
+    if x.ndim != 1:
+        raise ValueError("input must be a 1-d vector")
+    return _as_rows(x)
 
 
 def _as_rows(X: ArrayLike) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim < 1 or X.shape[-1] < 1:
-        raise ValueError("input rows must be non-empty")
+        raise ValueError("input must be non-empty")
     if not np.all(np.isfinite(X)):
         raise ValueError("input values must be finite")
     return X
@@ -65,20 +69,45 @@ def _require_nonnegative(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_weights(w: ArrayLike, label: str = "weights") -> np.ndarray:
+    """A weight vector as floats: finite and non-negative with a positive sum."""
+    w = np.asarray(w, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"{label} must be finite, got {w}")
+    if np.any(w < 0) or w.sum() <= 0:
+        raise ValueError(f"{label} must be non-negative with a positive sum")
+    return w
+
+
+def _check_weight_values(w) -> np.ndarray:
+    """Values of a weight function as floats: finite and non-negative with a
+    positive total."""
+    w = np.asarray(w, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"weight function values are not finite: {w}")
+    return _check_weights(w, "weight function values")
+
+
+def _check_exponent(value: float, name: str) -> float:
+    """An exponent of a mean family: a real number or +-inf, not NaN."""
+    if math.isnan(value):
+        raise ValueError(f"{name} must be a number, got {value}")
+    return value
+
+
+def _check_positive(value: float, name: str) -> None:
+    """A scale or tolerance: positive and finite."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def _norm_weights(w: ArrayLike | None, n: int) -> np.ndarray:
     if w is None:
         return np.full(n, 1.0 / n)
     w = np.asarray(w, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"expected {n} weights, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError(f"weights must be finite, got {w}")
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("at least one weight must be positive")
-    return w / total
+    return _check_weights(w) / w.sum()
 
 
 def _weighted_part(x: np.ndarray, weights: ArrayLike | None) -> tuple[np.ndarray, np.ndarray]:
@@ -105,6 +134,7 @@ def power_mean(x: ArrayLike, p: float, weights: ArrayLike | None = None) -> floa
     weight absorbs the mean to 0 for p <= 0.  Zero-weight components are
     ignored.
     """
+    _check_exponent(p, "p")
     x, w = _weighted_part(_require_nonnegative(_as_input(x)), weights)
     if math.isinf(p):
         return float(x.max()) if p > 0 else float(x.min())
@@ -147,6 +177,7 @@ def _power_rows(X: np.ndarray, p: float, W: np.ndarray) -> np.ndarray:
 
 
 def power_mean_rows(X: ArrayLike, p: float, weights: ArrayLike | None = None) -> np.ndarray:
+    _check_exponent(p, "p")
     X = _require_nonnegative(_as_rows(X))
     return _power_rows(X, p, _norm_weights(weights, X.shape[-1]))
 
@@ -214,26 +245,16 @@ def bajraktarevic_mean(
     x = _as_input(x)
     if len(weight_fns) != x.size:
         raise ValueError("one weight function per coordinate required")
-    w = np.array([float(fn(v)) for fn, v in zip(weight_fns, x)])
-    if np.any(w < 0):
-        raise ValueError("weight functions must be non-negative")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("total weight is zero")
+    w = _check_weight_values([float(fn(v)) for fn, v in zip(weight_fns, x)])
     gx = np.asarray(g(x), dtype=float)
-    return _finite(float(g_inv(float(np.dot(w, gx)) / float(total))))
+    return _finite(float(g_inv(float(np.dot(w, gx)) / float(w.sum()))))
 
 
 def mixture_mean(x: ArrayLike, w_fn: Callable[[np.ndarray], np.ndarray]) -> float:
     """sum w(x_i) x_i / sum w(x_i); invariant to scaling of w."""
     x = _as_input(x)
-    w = np.asarray(w_fn(x), dtype=float)
-    if np.any(w < 0):
-        raise ValueError("weight function must be non-negative")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("total weight is zero")
-    return _finite(float(np.dot(w, x)) / float(total))
+    w = _check_weight_values(w_fn(x))
+    return _finite(float(np.dot(w, x)) / float(w.sum()))
 
 
 def generalized_mixture_mean(
@@ -252,6 +273,8 @@ def gini_mean(
     follow the same limit conventions as the Lehmer mean: dropped for q>0,
     absorbing for q<0.  Zero-weight components are ignored.
     """
+    _check_exponent(p, "p")
+    _check_exponent(q, "q")
     x, w = _weighted_part(_require_nonnegative(_as_input(x)), weights)
     if q == 0:
         return power_mean(x, p, w)
@@ -272,6 +295,8 @@ def gini_mean(
 def gini_mean_rows(
     X: ArrayLike, p: float, q: float, weights: ArrayLike | None = None
 ) -> np.ndarray:
+    _check_exponent(p, "p")
+    _check_exponent(q, "q")
     X = _require_nonnegative(_as_rows(X))
     w = _norm_weights(weights, X.shape[-1])
     if q == 0:
@@ -290,6 +315,7 @@ def lehmer_mean(x: ArrayLike, q: float) -> float:
     Zero components are handled as limits: neutral for q>0, absorbing for
     q<0; q=0 is the arithmetic mean.
     """
+    _check_exponent(q, "q")
     x = _require_nonnegative(_as_input(x))
     if q == 0:
         return float(np.mean(x))
@@ -308,6 +334,7 @@ def lehmer_mean(x: ArrayLike, q: float) -> float:
 
 
 def lehmer_mean_rows(X: ArrayLike, q: float) -> np.ndarray:
+    _check_exponent(q, "q")
     X = _require_nonnegative(_as_rows(X))
     if q == 0:
         return X.mean(axis=-1)
@@ -327,6 +354,7 @@ def lehmer_max_args(q: float) -> float:
     the mean is monotone for any n and +inf is returned (the closed form is
     singular or complex-valued there).
     """
+    _check_exponent(q, "q")
     if 0 < q < 1:
         raise ValueError(
             "Lehmer means with q in (0, 1) are not weakly monotone for any n"

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .means import _as_input
+from .means import _as_input, _check_weight_values
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -125,14 +125,7 @@ def minimize_penalty(term: Term, x) -> float:
 
 def mixture_penalty(w_fn: Callable[[np.ndarray], np.ndarray]) -> Term:
     """Quadratic penalty sum w(x_i) (x_i - y)^2 whose argmin is the mixture mean."""
-
-    def term(xs: np.ndarray, y: float) -> np.ndarray:
-        w = np.asarray(w_fn(xs), dtype=float)
-        if np.any(w < 0):
-            raise ValueError("weight function must be non-negative")
-        return w * (xs - y) ** 2
-
-    return term
+    return lambda xs, y: _check_weight_values(w_fn(xs)) * (xs - y) ** 2
 
 
 def least_squares_penalty(xs: np.ndarray, y) -> np.ndarray:
@@ -148,16 +141,17 @@ def mode_penalty(xs: np.ndarray, y) -> np.ndarray:
     return (xs != y).astype(float)
 
 
-def sublevel_convexity_check(term: Term, x, samples: int = 200, seed: int = 0) -> bool:
+def sublevel_convexity_check(term: Term, x) -> bool:
     """Sampled sanity check that y -> P(x, y) has convex sublevel sets: P at
-    a point between a and b is at most max(P(a), P(b))."""
+    a point between a and b is at most max(P(a), P(b)), for 200 seeded
+    random triples."""
     x = _as_input(x)
     lo, hi = float(x.min()), float(x.max())
     if lo == hi:
         return True
-    u = np.random.default_rng(seed).uniform(size=(samples, 3))
+    u = np.random.default_rng(0).uniform(size=(200, 3))
     a, b = np.sort(lo + (hi - lo) * u[:, :2], axis=1).T
     mid = a + u[:, 2] * (b - a)
-    pa, pb, pm = penalty_values(term, x, np.concatenate([a, b, mid])).reshape(3, samples)
+    pa, pb, pm = penalty_values(term, x, np.concatenate([a, b, mid])).reshape(3, -1)
     cap = np.maximum(pa, pb)
     return not np.any(pm > cap + 1e-9 * np.maximum(1.0, np.abs(cap)))

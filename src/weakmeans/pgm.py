@@ -27,7 +27,7 @@ class GrayImage:
             raise ValueError("pixels must be a non-empty 2-d array")
         if not 1 <= self.maxval <= 65535:
             raise ValueError("maxval must be in 1..65535")
-        if np.any(self.pixels < 0) or np.any(self.pixels > 1):
+        if not np.all((self.pixels >= 0) & (self.pixels <= 1)):  # NaN fails both
             raise ValueError("intensities must lie in [0, 1]")
 
     @property

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import location, means
-from .means import Interval, lehmer_max_args
+from .means import Interval, _check_exponent, _check_positive, lehmer_max_args
 
 
 @dataclass
@@ -92,10 +92,8 @@ def named_aggregator(
     for param, value in given.items():
         if value is not None and param not in takes:
             raise ValueError(f"{name} takes no --{param}")
-    scalars = {k: float(given[k]) for k in entry.params if k != "weights"}
-    for param, value in scalars.items():
-        if math.isnan(value):
-            raise ValueError(f"--{param} must be a number, got {value}")
+    scalars = {k: _check_exponent(float(given[k]), f"--{k}")
+               for k in entry.params if k != "weights"}
     args = [w if k == "weights" else scalars[k] for k in entry.params]
     if entry.weighted:
         args.append(w)
@@ -125,12 +123,10 @@ class SamplerConfig:
     probe_points: Sequence = field(default_factory=tuple)  # tried before sampling
 
     def __post_init__(self):
-        if self.samples <= 0 or self.tol <= 0:
-            raise ValueError("samples and tol must be positive")
-        if not math.isfinite(self.tol):
-            raise ValueError(f"tol must be finite, got {self.tol}")
-        if not 0 < self.shift_max < math.inf:
-            raise ValueError(f"shift_max must be positive and finite, got {self.shift_max}")
+        if self.samples <= 0:
+            raise ValueError("samples must be positive")
+        _check_positive(self.tol, "tol")
+        _check_positive(self.shift_max, "shift_max")
 
 
 @dataclass
@@ -163,14 +159,6 @@ class PropertyReport:
                f"{self.elapsed_s:.3g} s)"
         witness = (self.witness or {}).items()
         return "\n".join([head] + [f"  {k} = {v}" for k, v in witness])
-
-
-def _sampling_box(F: Aggregator, cfg: SamplerConfig) -> Interval:
-    if cfg.box is not None:
-        return cfg.box
-    lo = F.domain.lo if math.isfinite(F.domain.lo) else 0.0
-    hi = F.domain.hi if math.isfinite(F.domain.hi) else lo + 1.0
-    return Interval(lo, hi)
 
 
 _BOUNDARY_FRACTION = 0.2  # share of sampled points biased toward the boundary
@@ -231,7 +219,7 @@ def _falsify(prop: str, F: Aggregator, n: int | None, cfg: SamplerConfig,
     """
     start = time.perf_counter()
     n = _arity(F, n)
-    box = _sampling_box(F, cfg)
+    box = cfg.box or F.domain.finite_box()
     rng = np.random.default_rng(cfg.seed)
     probes = [_as_case(p, n) for p in cfg.probe_points]
     budget = max(cfg.samples, len(probes))
@@ -413,13 +401,11 @@ CHECKS = {
 }
 
 
-def directional_derivative(F: Aggregator, x, h: float | None = None) -> float:
-    """One-sided forward difference of F along the normalized diagonal."""
+def directional_derivative(F: Aggregator, x) -> float:
+    """One-sided forward difference of F along the normalized diagonal, with
+    step 1e-6 max(1, |x|)."""
     x = np.asarray(x, dtype=float)
-    if h is None:
-        h = 1e-6 * max(1.0, float(np.abs(x).max()))
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    h = 1e-6 * max(1.0, float(np.abs(x).max()))
     n = x.size
     return (F(x + h) - F(x)) / (h * math.sqrt(n))
 
@@ -427,16 +413,18 @@ def directional_derivative(F: Aggregator, x, h: float | None = None) -> float:
 def check_mixture_sufficient_condition(
     w_fn: Callable[[float], float],
     interval: Interval,
-    grid: int = 1001,
     dw_fn: Callable[[float], float] | None = None,
 ) -> PropertyReport:
-    """Grid check of the monotonicity sufficient condition
-    w(t) >= w'(t) * (hi - t) for a mixture weight function.
+    """Check of the monotonicity sufficient condition w(t) >= w'(t) * (hi - t)
+    for a mixture weight function at 1001 evenly spaced points t.
 
-    A pass certifies (numerically) the sufficient condition only.
+    A pass certifies (numerically) the sufficient condition only.  An
+    unbounded interval, or a w(t) or w'(t) that is not finite, is refused.
     """
+    if not math.isfinite(interval.hi - interval.lo):
+        raise ValueError(f"the interval must be bounded, got [{interval.lo}, {interval.hi}]")
     start = time.perf_counter()
-    ts = np.linspace(interval.lo, interval.hi, grid)
+    ts = np.linspace(interval.lo, interval.hi, 1001)
     eps = 1e-7 * max(1.0, interval.hi - interval.lo)
     calls_per_point = 2 if dw_fn is not None else 3  # w and w', or w at t and t +- eps
     witness, used = None, 0
@@ -448,6 +436,8 @@ def check_mixture_sufficient_condition(
             lo, hi = max(t - eps, interval.lo), min(t + eps, interval.hi)
             dw = (float(w_fn(hi)) - float(w_fn(lo))) / (hi - lo)
         lhs, rhs = float(w_fn(t)), dw * (interval.hi - t)
+        if not (math.isfinite(lhs) and math.isfinite(dw)):
+            raise ValueError(f"w(t) = {lhs} or w'(t) = {dw} is not finite at t = {t}")
         if lhs < rhs - 1e-9 * max(1.0, abs(rhs)):
             witness = {"t": t, "w": lhs, "dw_times_remaining": rhs}
             break
@@ -462,8 +452,8 @@ def lehmer_bound_table(
 ) -> list[dict]:
     """Theoretical weak-monotonicity bound vs empirical sampling verdict for
     the Lehmer mean over a (q, n) grid."""
-    if any(math.isnan(q) for q in q_values):
-        raise ValueError(f"q must be a number, got {list(q_values)}")
+    for q in q_values:
+        _check_exponent(q, "q")
     cfg = cfg or SamplerConfig(samples=20_000)
     sub = replace(cfg, box=cfg.box or Interval(0.0, 1.0))
     rows = []

@@ -14,7 +14,6 @@ estimators and is the reference the tests compare the whole-image path with.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -22,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import location
-from .means import median, median_rows
+from .means import _check_positive, median, median_rows
 from .pgm import GrayImage
 
 TONAL_KERNELS = ("gaussian", "cauchy")
@@ -50,10 +49,8 @@ class FilterConfig:
     def __post_init__(self):
         if self.radius < 0:
             raise ValueError("radius must be >= 0")
-        for name in ("spatial_sigma", "tonal_sigma", "huber_delta"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("spatial_sigma", "tonal_sigma", "huber_delta", "mode_quantize"):
+            _check_positive(getattr(self, name), name)
         for value, allowed in (
             (self.tonal_kernel, TONAL_KERNELS),
             (self.estimator, ESTIMATORS),

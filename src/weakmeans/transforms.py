@@ -9,7 +9,6 @@ weakly monotone outer over shift-invariant inners) are weakly monotone.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -18,13 +17,11 @@ from .means import Interval
 from .properties import Aggregator, implies_weakly_monotone
 
 
-def is_affine(
-    phi: Callable[[float], float], lo: float = 0.0, hi: float = 1.0, tol: float = 1e-10
-) -> bool:
-    """3-point collinearity test for phi on [lo, hi]."""
+def is_affine(phi: Callable[[float], float], lo: float = 0.0, hi: float = 1.0) -> bool:
+    """3-point collinearity test for phi on [lo, hi], to a relative 1e-10."""
     mid = 0.5 * (lo + hi)
     ya, ym, yb = float(phi(lo)), float(phi(mid)), float(phi(hi))
-    return abs(ym - 0.5 * (ya + yb)) <= tol * max(1.0, abs(ya), abs(yb))
+    return abs(ym - 0.5 * (ya + yb)) <= 1e-10 * max(1.0, abs(ya), abs(yb))
 
 
 def _check_inverse(phi, phi_inv, lo, hi, tol=1e-9):
@@ -45,16 +42,15 @@ def phi_transform(
     weak-monotonicity guarantee through to the result's annotations.
     """
     domain = domain or A.domain
-    lo = domain.lo if math.isfinite(domain.lo) else 0.0
-    hi = domain.hi if math.isfinite(domain.hi) else lo + 1.0
-    _check_inverse(phi, phi_inv, lo, hi)
+    box = domain.finite_box()
+    _check_inverse(phi, phi_inv, box.lo, box.hi)
 
     def fn(x: np.ndarray) -> float:
         px = np.array([float(phi(v)) for v in x])
         return float(phi_inv(A(px)))
 
     known = set()
-    if is_affine(phi, lo, hi) and implies_weakly_monotone(A.known):
+    if is_affine(phi, box.lo, box.hi) and implies_weakly_monotone(A.known):
         known.add("weakly-monotone")
     return Aggregator(
         fn=fn,

@@ -217,6 +217,21 @@ def test_filter_non_finite_parameter_is_a_usage_error(tmp_path, capsys, option, 
 def test_usage_error_exit_code(capsys):
     assert main(["aggregate", "nosuchmean", "--", "1"]) == 2
     assert main(["frobnicate"]) == 2
+    for argv, message in (
+        (("aggregate", "mean"), "no input values given"),
+        (("aggregate", "owa", "--weights", "1,x", "--", "1", "2"), "bad weight list '1,x'"),
+        (("check", "monotone", "mean", "--", "1", "2"), "only accepted by 'aggregate'"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize("value", ["-inf", "-Infinity", "-1e5"])
+@pytest.mark.parametrize("name, flag", [("lehmer", "--q"), ("power", "--p")])
+def test_negative_exponent_in_the_usual_form(capsys, name, flag, value):
+    # argparse takes "-inf" for an option unless it is joined to its flag
+    code, out, err = run(capsys, "aggregate", name, flag, value, "--", "1", "2")
+    assert code == 0 and err == "" and float(out) == pytest.approx(1.0, abs=1e-5)  # near the min
 
 
 def test_filter_radius_zero_is_the_identity_for_every_estimator(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -29,8 +30,9 @@ def test_mode_paper_counterexample():
 
 def test_mode_quantized():
     assert mode([0.1001, 0.1002, 0.5], quantize=0.01) == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        mode([1.0], quantize=0.0)
+    for step in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="quantize must be positive and finite"):
+            mode([1.0], quantize=step)
 
 
 def test_candidate_windows():
@@ -93,6 +95,7 @@ def test_owa_penalty_estimator_values():
     assert owa_penalty_estimator([0, 1, 2, 10, 11], [1, 1, 1, 0, 0]) == pytest.approx(
         1.0, abs=1e-9
     )
+    assert owa_penalty_estimator([2, 2, 2], [1, 1, 0]) == 2  # every midpoint is 2: no segment
     with pytest.raises(ValueError):
         owa_penalty_estimator([1, 2], [0, 0])
     with pytest.raises(ValueError):
@@ -167,6 +170,9 @@ def test_density_mean_values():
     assert density_mean([4.2, 4.2, 4.2]) == pytest.approx(4.2, abs=1e-12)
     assert density_mean([0, 1]) == pytest.approx(0.5, abs=1e-12)
     assert density_mean([0, 0, 1]) == pytest.approx(2 / 7, abs=1e-12)
+    # weights 1 / (1 + inf) = 0 would give 0 / 0
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+        density_mean([0.0, 1e200])
 
 
 def test_shift_invariance_all_estimators():

@@ -75,6 +75,12 @@ def test_weighted_quadratic_matches_mixture():
     assert minimize_penalty(P, [1, 2]) == pytest.approx(5 / 3, abs=5e-9)
     P2 = mixture_penalty(lambda t: t**2)
     assert minimize_penalty(P2, [1, 2]) == pytest.approx(1.8, abs=5e-9)
+    # mixture_mean's weight-function rule: a zero total is no flat penalty
+    for w in (lambda t: 0.0 * t, lambda t: -t):
+        for solve in (lambda: minimize_penalty(mixture_penalty(w), [1, 2]),
+                      lambda: mixture_mean([1, 2], w)):
+            with pytest.raises(ValueError, match="non-negative with a positive sum"):
+                solve()
 
 
 def test_mixture_oracle_equivalence():

@@ -71,3 +71,5 @@ def test_grayimage_validation():
         GrayImage(pixels=np.array([0.5]), maxval=255)
     with pytest.raises(ValueError):
         GrayImage(pixels=np.array([[0.5]]), maxval=0)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):  # NaN is neither < 0 nor > 1
+        GrayImage(pixels=np.array([[0.5, np.nan], [0.2, 0.3]]), maxval=255)

@@ -126,6 +126,11 @@ def test_probe_of_another_arity_is_skipped():
     report = check_weak_monotonicity(named_aggregator("lehmer", q=1.0), n=2, cfg=cfg)
     assert not report.violated
     assert (report.samples_used, report.samples_skipped) == (1, 1)
+    # without n an OWA check takes its arity from the weights, a variadic mean uses 3
+    for F, skipped in ((named_aggregator("owa", weights=[1, 1, 1, 1]), 1),
+                       (named_aggregator("owa", weights=[1, 1, 1]), 0),
+                       (named_aggregator("lehmer", q=1.0), 0)):
+        assert check_weak_monotonicity(F, cfg=cfg).samples_skipped == skipped
 
 
 def test_skipped_samples_are_counted_not_tested():
@@ -188,7 +193,7 @@ def test_directional_derivative():
 def test_directional_derivative_matches_analytic_power_mean():
     x = np.array([0.4, 0.6, 0.8])
     F = Aggregator(lambda v: power_mean(v, 2.0), domain=Interval(0, math.inf))
-    got = directional_derivative(F, x, h=1e-6)
+    got = directional_derivative(F, x)
     # analytic gradient of the quadratic mean, contracted with 1/sqrt(n)
     m = power_mean(x, 2.0)
     grad = x / (x.size * m)
@@ -210,6 +215,14 @@ def test_mixture_sufficient_condition():
         lambda t: math.exp(5 * t), unit, dw_fn=lambda t: 5 * math.exp(5 * t)
     )
     assert r.violated and r.witness["t"] < 0.2
+    # a NaN compares false both ways, so it used to pass every grid point
+    with pytest.raises(ValueError, match="not finite at t = 0.0"):
+        check_mixture_sufficient_condition(lambda t: math.nan, unit)
+    with pytest.raises(ValueError, match=r"not finite at t = 0.5"):
+        check_mixture_sufficient_condition(lambda t: 1.0, unit,
+                                           dw_fn=lambda t: math.inf if t >= 0.5 else 0.0)
+    with pytest.raises(ValueError, match="must be bounded"):  # its grid would be NaN
+        check_mixture_sufficient_condition(lambda t: 1.0, Interval(0.0, math.inf))
 
 
 def test_lehmer_bound_table():
@@ -263,6 +276,19 @@ def test_nan_exponents_are_refused_and_infinite_ones_kept():
     assert named_aggregator("lehmer", q=math.inf)([1.0, 2.0]) == 2.0
     assert named_aggregator("lehmer", q=-math.inf)([1.0, 2.0]) == 1.0
     assert named_aggregator("power", p=math.inf)([1.0, 2.0]) == 2.0
+    # the means themselves refuse NaN, scalar and row forms alike
+    x, X, nan = [1.0, 2.0], [[1.0, 2.0]], math.nan
+    for param, call in (("q", lambda: means.lehmer_mean(x, nan)),
+                        ("q", lambda: means.lehmer_mean_rows(X, nan)),
+                        ("p", lambda: means.power_mean(x, nan)),
+                        ("p", lambda: means.power_mean_rows(X, nan)),
+                        ("p", lambda: means.gini_mean([0.0, 2.0], nan, -1.0)),
+                        ("q", lambda: means.gini_mean(x, 1.0, nan)),
+                        ("p", lambda: means.gini_mean_rows(X, nan, 1.0)),
+                        ("q", lambda: means.gini_mean_rows(X, 1.0, nan)),
+                        ("q", lambda: means.lehmer_max_args(nan))):
+        with pytest.raises(ValueError, match=f"^{param} must be a number, got nan$"):
+            call()
 
 
 @pytest.mark.parametrize("name", sorted(AGGREGATORS))
@@ -300,6 +326,16 @@ def test_sampler_config_validation():
     for tol in (0.0, -1e-9, math.nan, math.inf):
         with pytest.raises(ValueError, match="tol"):
             SamplerConfig(tol=tol)
+
+
+def test_default_box_is_finite_and_inside_the_domain():
+    for (lo, hi), box in (((-math.inf, math.inf), (0.0, 1.0)), ((0.0, math.inf), (0.0, 1.0)),
+                          ((2.0, math.inf), (2.0, 3.0)), ((-math.inf, 5.0), (0.0, 5.0)),
+                          ((-math.inf, -1.0), (-2.0, -1.0)), ((-3.0, 4.0), (-3.0, 4.0))):
+        assert Interval(lo, hi).finite_box() == Interval(*box)
+    # a domain ending below 0 used to give the empty box [0, hi]
+    F = Aggregator(lambda x: float(np.mean(x)), domain=Interval(-math.inf, -1.0), name="neg")
+    assert not check_averaging(F, n=3, cfg=SamplerConfig(samples=100)).violated
 
 
 @pytest.mark.parametrize("n", [0, -2])

@@ -320,8 +320,8 @@ def test_config_validation():
         FilterConfig(radius=-1)
     with pytest.raises(ValueError):
         FilterConfig(spatial_sigma=0)
-    for name in ("spatial_sigma", "tonal_sigma", "huber_delta"):
-        for value in (math.nan, math.inf, -1.0):
+    for name in ("spatial_sigma", "tonal_sigma", "huber_delta", "mode_quantize"):
+        for value in (math.nan, math.inf, -1.0, -0.1, 0.0):
             with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
                 FilterConfig(**{name: value})
     with pytest.raises(ValueError):
