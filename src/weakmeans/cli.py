@@ -17,24 +17,30 @@ from . import pgm, tonal
 from .properties import CHECKS, SamplerConfig, lehmer_bound_table, named_aggregator
 
 
+def _numbers(tokens: list[str], what: str) -> np.ndarray:
+    """The tokens as floats; a token that is not a number is a usage error
+    naming what was read and the token."""
+    try:
+        return np.array(tokens, dtype=float)
+    except ValueError as exc:  # "could not convert string to float: 'x'"
+        raise ValueError(f"bad {what}: {exc}") from None
+
+
 def _parse_weights(spec: str | None) -> np.ndarray | None:
     if not spec:
         return None
-    try:
-        return np.array([float(v) for v in spec.split(",")])
-    except ValueError as exc:
-        raise ValueError(f"bad weight list {spec!r}") from exc
+    return _numbers(spec.split(","), f"weight list {spec!r}")
 
 
 def _read_values(args) -> np.ndarray:
     if args.file:
         text = Path(args.file).read_text().split()
-        values = [float(v) for v in text]
+        values = _numbers(text, f"value in --file {args.file}")
     else:
-        values = [float(v) for v in args.values]
-    if not values:
+        values = _numbers(args.values, "input value")
+    if not values.size:
         raise ValueError("no input values given (inline or --file)")
-    return np.array(values)
+    return values
 
 
 def cmd_aggregate(args) -> int:
@@ -60,7 +66,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_table(args) -> int:
-    q_values = [float(v) for v in args.q_list.split(",")]
+    q_values = _numbers(args.q_list.split(","), f"--q-list {args.q_list!r}")
     rows = lehmer_bound_table(
         q_values, args.n_max, SamplerConfig(samples=args.samples, seed=args.seed)
     )

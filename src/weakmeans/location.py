@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .means import _as_input, _as_rows, _check_positive, _check_weights
 
@@ -129,16 +130,11 @@ def lts(x: ArrayLike) -> float:
     the smallest window start.
     """
     xs = np.sort(_as_input(x))
-    n = xs.size
-    h = n // 2 + 1
-    stats = []
-    for k in range(n - h + 1):
-        win = xs[k : k + h]
-        m = win.mean()
-        stats.append((float(np.sum((win - m) ** 2)), float(m)))  # centered, shift-stable
-    best_sse = min(s for s, _ in stats)
-    tol = 1e-9 * max(1.0, best_sse)
-    return next(m for s, m in stats if s <= best_sse + tol)
+    windows = sliding_window_view(xs, xs.size // 2 + 1)
+    means = windows.mean(axis=-1)
+    sse = ((windows - means[:, None]) ** 2).sum(axis=-1)  # centered, shift-stable
+    best = sse.min()
+    return float(means[np.argmax(sse <= best + 1e-9 * max(1.0, best))])
 
 
 def owa_penalty(delta: ArrayLike) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -189,8 +185,14 @@ def density_mean(x: ArrayLike) -> float:
     """Weighted mean with weights decaying in each point's mean squared
     distance m to the others through the Cauchy kernel 1 / (1 + m)."""
     x = _as_input(x)
-    d2 = (x[:, None] - x[None, :]) ** 2
-    u = 1.0 / (1.0 + d2.mean(axis=1))
-    if np.any(u == 0):  # m overflowed to inf
-        raise ValueError("the inputs are too far apart: squared distances overflow")
-    return float(np.dot(u, x) / u.sum())
+    # On xs = x / 2^e, inside (-1, 1), no squared distance overflows.  Powers
+    # of two commute with rounding, so r / (4^-e + m / 4^e), r a power of two
+    # putting the largest in (1, 2], is 1 / (1 + m) times r 4^e; the least
+    # subnormal bounds 4^-e, which then matters only when every m is 0.  The
+    # clip keeps the last rounding inside [min x, max x].
+    e = max(0, int(np.frexp(np.abs(x).max())[1]))
+    xs = np.ldexp(x, -e)
+    m = ((xs[:, None] - xs[None, :]) ** 2).mean(axis=1)  # m / 4^e
+    t = np.ldexp(1.0, -min(2 * e, 1074)) + m
+    u = np.ldexp(1.0, int(np.frexp(t.min())[1])) / t
+    return float(np.clip(np.ldexp(np.dot(u, xs) / u.sum(), e), x.min(), x.max()))

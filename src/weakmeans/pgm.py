@@ -1,4 +1,4 @@
-"""PGM (P2/P5) grayscale image reader/writer.
+"""PGM grayscale image reader (P2 and P5) and writer (P5).
 
 Intensities are stored internally as floats in [0, 1] (level / maxval) and
 written back as round(v * maxval), so a read/write round trip is lossless at
@@ -7,6 +7,7 @@ the source maxval.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,46 +40,25 @@ class GrayImage:
         return self.pixels.shape[1]
 
 
-def _read_header_tokens(data: bytes, count: int) -> tuple[list[int], int]:
-    """Read `count` whitespace-separated integer tokens, skipping # comments.
-    Returns the tokens and the offset just past the single whitespace byte
-    terminating the last token."""
-    tokens: list[int] = []
-    i = 0
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i : i + 1] == b"#":
-            while i < n and data[i : i + 1] != b"\n":
-                i += 1
-            continue
-        start = i
-        while i < n and not data[i : i + 1].isspace():
-            i += 1
-        if start == i:
-            raise PgmError("truncated header")
-        try:
-            tokens.append(int(data[start:i]))
-        except ValueError as exc:
-            raise PgmError(f"bad header token {data[start:i]!r}") from exc
-    if i >= n:
-        raise PgmError("truncated header")
-    return tokens, i + 1  # skip the single whitespace after maxval
+# The magic, then width, height and maxval, each after whitespace or # comments
+# (to the end of the line), then the single whitespace byte ending the header.
+_HEADER = re.compile(rb"P[25]" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 
 def read_pgm(data: bytes) -> GrayImage:
     if data[:2] not in (b"P2", b"P5"):
         raise PgmError(f"unsupported magic {data[:2]!r}")
-    magic = data[:2]
-    (width, height, maxval), offset = _read_header_tokens(data[2:], 3)
-    offset += 2
+    header = _HEADER.match(data)
+    if header is None:
+        raise PgmError("truncated or malformed header")
+    width, height, maxval = map(int, header.groups())
+    offset = header.end()
     if width <= 0 or height <= 0:
         raise PgmError("non-positive image dimensions")
     if not 1 <= maxval <= 65535:
         raise PgmError(f"maxval {maxval} out of range 1..65535")
     count = width * height
-    if magic == b"P2":
+    if data[:2] == b"P2":
         fields = data[offset:].split()
         if len(fields) < count:
             raise PgmError("truncated P2 payload")
@@ -99,12 +79,10 @@ def read_pgm(data: bytes) -> GrayImage:
     return GrayImage(pixels=pixels, maxval=maxval)
 
 
-def write_pgm(img: GrayImage, binary: bool = True) -> bytes:
+def write_pgm(img: GrayImage) -> bytes:
+    """The image as P5, with 16-bit big-endian samples when maxval > 255."""
     levels = np.rint(img.pixels * img.maxval).astype(np.int64)
     levels = np.clip(levels, 0, img.maxval)
-    header = f"{'P5' if binary else 'P2'}\n{img.width} {img.height}\n{img.maxval}\n"
-    if binary:
-        dtype = np.dtype(">u2") if img.maxval > 255 else np.dtype("u1")
-        return header.encode("ascii") + levels.astype(dtype).tobytes()
-    body = "\n".join(" ".join(str(v) for v in row) for row in levels)
-    return header.encode("ascii") + body.encode("ascii") + b"\n"
+    header = f"P5\n{img.width} {img.height}\n{img.maxval}\n"
+    dtype = np.dtype(">u2") if img.maxval > 255 else np.dtype("u1")
+    return header.encode("ascii") + levels.astype(dtype).tobytes()

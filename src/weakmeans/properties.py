@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from types import ModuleType
 from typing import Callable, NamedTuple, Sequence
 
@@ -455,13 +455,12 @@ def lehmer_bound_table(
     for q in q_values:
         _check_exponent(q, "q")
     cfg = cfg or SamplerConfig(samples=20_000)
-    sub = replace(cfg, box=cfg.box or Interval(0.0, 1.0))
     rows = []
     for q in q_values:
         excluded = 0 < q < 1
         bound = None if excluded else lehmer_max_args(q)
         for n in range(2, n_max + 1):
-            report = check_weak_monotonicity(named_aggregator("lehmer", q=q), n=n, cfg=sub)
+            report = check_weak_monotonicity(named_aggregator("lehmer", q=q), n=n, cfg=cfg)
             if excluded:
                 theory = "not weakly monotone (q in (0,1))"
             elif n <= bound:

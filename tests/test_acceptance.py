@@ -317,8 +317,8 @@ def test_12_pgm_round_trip():
     for maxval in (255, 1023, 65535):
         levels = rng.integers(0, maxval + 1, size=(9, 7))
         img = GrayImage(pixels=levels / maxval, maxval=maxval)
-        encoded = write_pgm(img, binary=True)
-        round_ok &= write_pgm(read_pgm(encoded), binary=True) == encoded
+        encoded = write_pgm(img)
+        round_ok &= write_pgm(read_pgm(encoded)) == encoded
 
     ascii_src = b"P2\n# comment\n3 2\n255\n0 64 128\n192 255 7\n"
     binary_src = b"P5\n3 2\n255\n" + bytes([0, 64, 128, 192, 255, 7])

@@ -49,6 +49,9 @@ def test_aggregate_from_file(tmp_path, capsys):
     f.write_text("1\n2\n3\n4\n")
     code, out, _ = run(capsys, "aggregate", "mean", "--file", str(f))
     assert code == 0 and float(out) == 2.5
+    f.write_text("1\nx\n")
+    code, out, err = run(capsys, "aggregate", "mean", "--file", str(f))
+    assert code == 2 and out == "" and f"bad value in --file {f}:" in err and "'x'" in err
 
 
 def test_aggregate_domain_error(capsys):
@@ -220,6 +223,8 @@ def test_usage_error_exit_code(capsys):
     for argv, message in (
         (("aggregate", "mean"), "no input values given"),
         (("aggregate", "owa", "--weights", "1,x", "--", "1", "2"), "bad weight list '1,x'"),
+        (("table", "--q-list", "1,x"), "bad --q-list '1,x': could not convert string to float: 'x'"),
+        (("aggregate", "mean", "--", "1", "x"), "bad input value: could not convert string to float: 'x'"),
         (("check", "monotone", "mean", "--", "1", "2"), "only accepted by 'aggregate'"),
     ):
         code, out, err = run(capsys, *argv)

@@ -42,8 +42,9 @@ def test_p2_p5_cross_parse_agreement():
     rng = np.random.default_rng(2)
     levels = rng.integers(0, 256, size=(3, 4))
     img = GrayImage(pixels=levels / 255, maxval=255)
-    from_p2 = read_pgm(write_pgm(img, binary=False))
-    from_p5 = read_pgm(write_pgm(img, binary=True))
+    body = "\n".join(" ".join(str(v) for v in row) for row in levels)
+    from_p2 = read_pgm(b"P2\n4 3\n255\n" + body.encode("ascii") + b"\n")
+    from_p5 = read_pgm(write_pgm(img))
     assert np.array_equal(from_p2.pixels, from_p5.pixels)
 
 
@@ -62,6 +63,12 @@ def test_malformed_inputs():
         read_pgm(b"P2 1 1 255 999")  # sample above maxval
     with pytest.raises(PgmError):
         read_pgm(b"P2 a 1 255 0")  # non-integer dimension
+    with pytest.raises(PgmError):
+        read_pgm(b"P2 -1 1 255 0")  # signed dimension
+    with pytest.raises(PgmError):
+        read_pgm(b"P2 1 1 # a comment running to the end of the file")
+    with pytest.raises(PgmError):
+        read_pgm(b"P5 1 1 255")  # nothing after maxval
 
 
 def test_grayimage_validation():
