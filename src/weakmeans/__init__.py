@@ -19,7 +19,6 @@ from .means import (
 )
 from .penalty import minimize_penalty, mixture_penalty
 from .location import (
-    candidate_windows,
     density_mean,
     lms,
     lts,
@@ -40,7 +39,6 @@ from .properties import (
     check_monotonicity,
     check_shift_invariance,
     check_weak_monotonicity,
-    directional_derivative,
     lehmer_bound_table,
     named_aggregator,
 )

@@ -11,13 +11,12 @@ rules; the scalar function is the reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .means import _as_input, _as_rows, _check_positive, _check_weights
+from .means import _as_input, _as_rows, _check_positive, _check_weights, _midpoint
 
 ArrayLike = Sequence[float] | np.ndarray
 
@@ -31,7 +30,10 @@ def mode(x: ArrayLike, quantize: float | None = None) -> float:
     v = _as_input(x)
     if quantize is not None:
         _check_positive(quantize, "quantize")
-        v = np.round(v / quantize) * quantize
+        with np.errstate(over="ignore"):
+            snapped = np.round(v / quantize) * quantize
+        # a value too large to snap is already on the grid at its own scale
+        v = np.where(np.isfinite(snapped), snapped, v)
     values, counts = np.unique(v, return_counts=True)
     return float(values[np.argmax(counts)])  # first max = smallest value
 
@@ -50,52 +52,29 @@ def mode_rows(X: ArrayLike) -> np.ndarray:
     return sorted_mode_rows(np.sort(_as_rows(X), axis=-1))
 
 
-@dataclass(frozen=True)
-class Window:
-    """Contiguous half-sample window into sorted data: indices start..stop."""
-
-    start: int  # 0-based into sorted x
-    stop: int  # inclusive, start + floor(n/2)
-    length: float
-
-
-def candidate_windows(x: ArrayLike) -> tuple[np.ndarray, list[Window]]:
-    """All contiguous half-sample windows of sorted x with their lengths."""
+def _shortest_window(x: ArrayLike) -> tuple[np.ndarray, int, int]:
+    """Sorted x, the start of its shortest half-sample window and the
+    window's last offset."""
     xs = np.sort(_as_input(x))
     n = xs.size
-    if n < 2:
-        raise ValueError("need at least two values")
     half = n // 2
-    windows = [
-        Window(k, k + half, float(xs[k + half] - xs[k]))
-        for k in range((n + 1) // 2)
-    ]
-    return xs, windows
-
-
-def _shortest_window(x: ArrayLike) -> tuple[np.ndarray, Window]:
-    xs = np.sort(_as_input(x))
-    if xs.size == 1:  # one value is its own half-sample
-        return xs, Window(0, 0, 0.0)
-    _, windows = candidate_windows(xs)
+    length = xs[half:] - xs[: n - half]
     # near-ties (within fp noise of a uniform shift) resolve to the smallest
     # start so the selection is stable under translation of quantized data
-    shortest = min(w.length for w in windows)
     tol = 1e-9 * max(1.0, float(np.abs(xs).max()))
-    best = next(w for w in windows if w.length <= shortest + tol)
-    return xs, best
+    return xs, int(np.argmax(length <= length.min() + tol)), half
 
 
 def shorth(x: ArrayLike) -> float:
     """Arithmetic mean of the shortest half-sample window."""
-    xs, w = _shortest_window(x)
-    return float(np.mean(xs[w.start : w.stop + 1]))
+    xs, k, half = _shortest_window(x)
+    return float(np.mean(xs[k : k + half + 1]))
 
 
 def lms(x: ArrayLike) -> float:
     """Least median of squares: midpoint of the shortest half-sample window."""
-    xs, w = _shortest_window(x)
-    return 0.5 * (float(xs[w.start]) + float(xs[w.stop]))
+    xs, k, half = _shortest_window(x)
+    return float(_midpoint(xs[k], xs[k + half]))
 
 
 def _shortest_rows(X: ArrayLike) -> tuple[np.ndarray, np.ndarray, int]:
@@ -118,7 +97,7 @@ def shorth_rows(X: ArrayLike) -> np.ndarray:
 def lms_rows(X: ArrayLike) -> np.ndarray:
     xs, k, half = _shortest_rows(X)
     ends = np.take_along_axis(xs, np.concatenate([k, k + half], axis=-1), axis=-1)
-    return 0.5 * (ends[..., 0] + ends[..., 1])
+    return _midpoint(ends[..., 0], ends[..., 1])
 
 
 def lts(x: ArrayLike) -> float:

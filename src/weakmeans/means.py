@@ -110,6 +110,14 @@ def _norm_weights(w: ArrayLike | None, n: int) -> np.ndarray:
     return _check_weights(w) / w.sum()
 
 
+def _midpoint(a, b):
+    """(a + b) / 2, finite for finite a and b: 0.5 * (a + b) where that sum
+    is finite, 0.5 * a + 0.5 * b where it overflows."""
+    with np.errstate(over="ignore"):
+        s = a + b
+    return np.where(np.isfinite(s), 0.5 * s, 0.5 * a + 0.5 * b)
+
+
 def _weighted_part(x: np.ndarray, weights: ArrayLike | None) -> tuple[np.ndarray, np.ndarray]:
     """Components with positive weight and their normalized weights; a
     zero-weight component takes no part, not even in the zero conventions."""
@@ -223,7 +231,7 @@ def median(x: ArrayLike) -> float:
     n = x.size
     if n % 2 == 1:
         return float(x[n // 2])
-    return 0.5 * (float(x[n // 2 - 1]) + float(x[n // 2]))
+    return float(_midpoint(x[n // 2 - 1], x[n // 2]))
 
 
 def median_rows(X: ArrayLike) -> np.ndarray:
@@ -232,7 +240,7 @@ def median_rows(X: ArrayLike) -> np.ndarray:
     n = s.shape[-1]
     if n % 2 == 1:
         return s[..., n // 2]
-    return 0.5 * (s[..., n // 2 - 1] + s[..., n // 2])
+    return _midpoint(s[..., n // 2 - 1], s[..., n // 2])
 
 
 def bajraktarevic_mean(
@@ -372,9 +380,9 @@ def contraharmonic_mean(x: ArrayLike) -> float:
 
 def midrange(x: ArrayLike) -> float:
     x = _as_input(x)
-    return 0.5 * (float(x.min()) + float(x.max()))
+    return float(_midpoint(x.min(), x.max()))
 
 
 def midrange_rows(X: ArrayLike) -> np.ndarray:
     X = _as_rows(X)
-    return 0.5 * (X.min(axis=-1) + X.max(axis=-1))
+    return _midpoint(X.min(axis=-1), X.max(axis=-1))

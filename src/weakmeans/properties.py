@@ -401,15 +401,6 @@ CHECKS = {
 }
 
 
-def directional_derivative(F: Aggregator, x) -> float:
-    """One-sided forward difference of F along the normalized diagonal, with
-    step 1e-6 max(1, |x|)."""
-    x = np.asarray(x, dtype=float)
-    h = 1e-6 * max(1.0, float(np.abs(x).max()))
-    n = x.size
-    return (F(x + h) - F(x)) / (h * math.sqrt(n))
-
-
 def check_mixture_sufficient_condition(
     w_fn: Callable[[float], float],
     interval: Interval,

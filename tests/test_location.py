@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from weakmeans import (
-    candidate_windows,
     density_mean,
     lms,
     lts,
@@ -15,6 +14,7 @@ from weakmeans import (
     owa_penalty_estimator,
     shorth,
 )
+from weakmeans.location import lms_rows
 from weakmeans.means import midrange
 from weakmeans.penalty import penalty_values
 
@@ -33,19 +33,49 @@ def test_mode_quantized():
     for step in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="quantize must be positive and finite"):
             mode([1.0], quantize=step)
+    # 1e300 / 1e-10 overflows: a value too large to snap is kept as it is
+    assert mode([1e300], quantize=1e-10) == 1e300
+    assert mode([3.0, 1e300, 1e300], quantize=1e-10) == 1e300
 
 
-def test_candidate_windows():
-    xs, windows = candidate_windows([0, 1, 2, 10, 11])
-    assert [w.length for w in windows] == [2, 9, 9]
-    assert min(windows, key=lambda w: (w.length, w.start)).start == 0
-    _, const = candidate_windows([4.0, 4.0, 4.0])
-    assert all(w.length == 0 for w in const)
-    xs1, w1 = candidate_windows([0.3, 0.9, 0.2, 0.8])
-    xs2, w2 = candidate_windows(np.array([0.3, 0.9, 0.2, 0.8]) + 7)
-    assert [w.length for w in w1] == pytest.approx([w.length for w in w2])
-    with pytest.raises(ValueError):
-        candidate_windows([1.0])
+def shortest_half_oracle(x):
+    """Independent oracle: a plain loop over every contiguous half-sample of
+    the sorted data; the first whose length is within 1e-9 max(1, max|x|) of
+    the shortest is the window."""
+    xs = sorted(float(v) for v in x)
+    h = len(xs) // 2
+    windows = [xs[k : k + h + 1] for k in range(len(xs) - h)]
+    shortest = min(w[-1] - w[0] for w in windows)
+    tol = 1e-9 * max(1.0, max(abs(v) for v in xs))
+    for w in windows:
+        if w[-1] - w[0] <= shortest + tol:
+            return w
+
+
+def test_shortest_half_sample_window():
+    # windows [0, 1, 2], [1, 2, 10] and [2, 10, 11] have lengths 2, 9 and 9
+    assert shorth([0, 1, 2, 10, 11]) == 1.0
+    assert lms([11, 10, 2, 1, 0]) == 1.0
+    assert shorth([4.0, 4.0, 4.0]) == lms([4.0, 4.0, 4.0]) == 4.0
+    # both windows of 0.2, 0.3, 0.8, 0.9 are 0.6 long up to rounding noise,
+    # which a shift by 7 changes; the first window is kept either way
+    x = np.array([0.3, 0.9, 0.2, 0.8])
+    assert lms(x) == 0.5 and shorth(x) == pytest.approx(1.3 / 3, abs=1e-15)
+    assert lms(x + 7) == pytest.approx(7.5, abs=1e-12)
+    assert shorth(x + 7) == pytest.approx(7 + 1.3 / 3, abs=1e-12)
+
+
+def test_shorth_and_lms_equal_the_window_oracle():
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        base = rng.integers(0, 40, n) / 4  # ties, and windows of equal length
+        for x in (base, base + 1e-10 * rng.uniform(-1, 1, n),  # near-ties
+                  base + 3e-9 * rng.uniform(-1, 1, n), rng.integers(0, 4, n) + 1e6,
+                  rng.normal(size=n)):
+            w = shortest_half_oracle(x)
+            assert shorth(x) == float(np.mean(w))
+            assert lms(x) == 0.5 * (w[0] + w[-1])
 
 
 def test_shorth_paper_values():
@@ -61,6 +91,10 @@ def test_shorth_paper_values():
 def test_lms_values():
     assert lms([0, 1, 2, 10, 11]) == 1.0
     assert lms([5, 5, 5, 5]) == 5.0
+    # 1e308 + 1.5e308 overflows; the halves of the two ends do not
+    X = np.array([[1e308, 1.5e308], [-1.5e308, -1e308], [1.5e308, 1e308]])
+    assert lms(X[0]) == 1.25e308
+    np.testing.assert_array_equal(lms_rows(X), [lms(x) for x in X])
 
 
 def test_one_value_is_its_own_estimate():

@@ -21,6 +21,7 @@ from weakmeans import (
     power_mean,
     quasi_arithmetic_mean,
 )
+from weakmeans.means import median_rows, midrange_rows
 
 finite = st.floats(0.01, 10.0, allow_nan=False)
 vectors = st.lists(finite, min_size=1, max_size=8)
@@ -107,6 +108,17 @@ def test_order_statistic_and_median():
     assert order_statistic([1, 2, 3, 10], 2) == 2
     assert order_statistic([1, 2, 3, 10], 3) == 3
     assert median([7, 7, 7, 7]) == 7
+
+
+def test_midpoints_are_finite_at_the_float_range_end():
+    # 1e308 + 1.5e308 overflows; the halves of the two ends do not
+    X = np.array([[1e308, 1.5e308, -1.0, 1.5e308], [-1.5e308, -1e308, 0.0, -1.7e308]])
+    assert median(X[0]) == midrange(X[0, :2]) == 1.25e308
+    assert median(X[1]) == midrange(X[1, :2]) == -1.25e308
+    assert midrange([-1.7e308, 1.7e308]) == 0.0
+    for scalar, rows in ((median, median_rows), (midrange, midrange_rows)):
+        for Y in (X, X[:, :2]):
+            np.testing.assert_array_equal(rows(Y), [scalar(y) for y in Y])
 
 
 def test_bajraktarevic_special_cases():

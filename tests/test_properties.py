@@ -17,11 +17,9 @@ from weakmeans import (
     check_monotonicity,
     check_shift_invariance,
     check_weak_monotonicity,
-    directional_derivative,
     lehmer_bound_table,
     lehmer_mean,
     median,
-    power_mean,
 )
 from weakmeans import location, means
 from weakmeans.properties import AGGREGATORS, CHECKS, PropertyReport, named_aggregator
@@ -178,26 +176,6 @@ def test_idempotency_averaging_internality():
     assert not check_internality(MEDIAN, n=5, cfg=FAST).violated
     report = check_internality(MEAN, n=2, cfg=SamplerConfig(samples=4000, seed=1))
     assert report.violated
-
-
-def test_directional_derivative():
-    n = 4
-    val = directional_derivative(MEAN, np.array([0.3, 0.5, 0.2, 0.9]))
-    assert val == pytest.approx(1 / math.sqrt(n), rel=1e-6)
-    assert directional_derivative(named_aggregator("lehmer", q=1.0), np.array([1.0, 0.0, 0.0])) < 0
-    assert directional_derivative(SHORTH, np.array([0.1, 0.2, 0.8, 0.85, 0.9])) == (
-        pytest.approx(1 / math.sqrt(5), rel=1e-6)
-    )
-
-
-def test_directional_derivative_matches_analytic_power_mean():
-    x = np.array([0.4, 0.6, 0.8])
-    F = Aggregator(lambda v: power_mean(v, 2.0), domain=Interval(0, math.inf))
-    got = directional_derivative(F, x)
-    # analytic gradient of the quadratic mean, contracted with 1/sqrt(n)
-    m = power_mean(x, 2.0)
-    grad = x / (x.size * m)
-    assert got == pytest.approx(float(grad.sum()) / math.sqrt(x.size), rel=1e-4)
 
 
 def test_mixture_sufficient_condition():
