@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .means import _as_input, _as_rows, _check_positive, _check_weights, _midpoint
+from .means import _as_input, _as_rows, _check_positive, _check_weights, _mean, _midpoint
 
 ArrayLike = Sequence[float] | np.ndarray
 
@@ -68,7 +68,7 @@ def _shortest_window(x: ArrayLike) -> tuple[np.ndarray, int, int]:
 def shorth(x: ArrayLike) -> float:
     """Arithmetic mean of the shortest half-sample window."""
     xs, k, half = _shortest_window(x)
-    return float(np.mean(xs[k : k + half + 1]))
+    return float(_mean(xs[k : k + half + 1]))
 
 
 def lms(x: ArrayLike) -> float:
@@ -91,7 +91,7 @@ def _shortest_rows(X: ArrayLike) -> tuple[np.ndarray, np.ndarray, int]:
 
 def shorth_rows(X: ArrayLike) -> np.ndarray:
     xs, k, half = _shortest_rows(X)
-    return np.take_along_axis(xs, k + np.arange(half + 1), axis=-1).mean(axis=-1)
+    return _mean(np.take_along_axis(xs, k + np.arange(half + 1), axis=-1))
 
 
 def lms_rows(X: ArrayLike) -> np.ndarray:
@@ -110,8 +110,13 @@ def lts(x: ArrayLike) -> float:
     """
     xs = np.sort(_as_input(x))
     windows = sliding_window_view(xs, xs.size // 2 + 1)
-    means = windows.mean(axis=-1)
-    sse = ((windows - means[:, None]) ** 2).sum(axis=-1)  # centered, shift-stable
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = windows.mean(axis=-1)
+        sse = ((windows - means[:, None]) ** 2).sum(axis=-1)  # centered, shift-stable
+    if not np.isfinite(sse).all():
+        # at the float range end, find the window at a power-of-two scale
+        e = int(np.frexp(np.abs(xs).max())[1])
+        return float(np.ldexp(lts(np.ldexp(xs, -e)), e))
     best = sse.min()
     return float(means[np.argmax(sse <= best + 1e-9 * max(1.0, best))])
 
@@ -144,14 +149,21 @@ def owa_penalty_estimator(x: ArrayLike, delta: ArrayLike) -> float:
     # midpoints (the data points are the i = j ones).  Within a segment the
     # objective is one strictly convex quadratic with vertex
     # sum(d_i x_sigma(i)) / sum(d), clipped to the segment for its minimum.
-    bounds = np.unique((x[:, None] + x[None, :]) / 2.0)
+    bounds = np.unique(_midpoint(x[:, None], x[None, :]))
     if bounds.size == 1:
         return float(bounds[0])
-    centers = 0.5 * (bounds[:-1] + bounds[1:])
-    # per-segment residual-magnitude ordering of the data
-    xs = x[np.argsort(np.abs(x[None, :] - centers[:, None]), axis=1, kind="stable")]
-    y = np.clip((xs @ d) / d.sum(), bounds[:-1], bounds[1:])
-    vals = ((xs - y[:, None]) ** 2) @ d
+    centers = _midpoint(bounds[:-1], bounds[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # per-segment residual-magnitude ordering of the data
+        xs = x[np.argsort(np.abs(x[None, :] - centers[:, None]), axis=1, kind="stable")]
+        y = np.clip((xs @ d) / d.sum(), bounds[:-1], bounds[1:])
+        vals = ((xs - y[:, None]) ** 2) @ d
+    if not np.isfinite(vals).all():
+        # at the float range end, solve at a power-of-two scale of x and of
+        # delta, where no residual or penalty overflows
+        e = int(np.frexp(np.abs(x).max())[1])
+        d = np.ldexp(d, -int(np.frexp(d.max())[1]))
+        return float(np.ldexp(owa_penalty_estimator(np.ldexp(x, -e), d), e))
     # Ties are decided between segment minima only: a vertex clipped to the
     # right end of any segment but the last is no minimum (the next segment
     # is lower there), so it cannot win a tie over a true minimum beside it.

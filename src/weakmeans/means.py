@@ -118,6 +118,18 @@ def _midpoint(a, b):
     return np.where(np.isfinite(s), 0.5 * s, 0.5 * a + 0.5 * b)
 
 
+def _mean(X):
+    """X.mean(axis=-1), finite for finite X: the plain mean where it is
+    finite, else the mean of X / 2^k times 2^k, with 2^k > n so that the
+    sum cannot overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = X.mean(axis=-1)
+    if np.isfinite(m).all():
+        return m
+    k = X.shape[-1].bit_length()
+    return np.where(np.isfinite(m), m, np.ldexp(np.ldexp(X, -k).mean(axis=-1), k))
+
+
 def _weighted_part(x: np.ndarray, weights: ArrayLike | None) -> tuple[np.ndarray, np.ndarray]:
     """Components with positive weight and their normalized weights; a
     zero-weight component takes no part, not even in the zero conventions."""
@@ -127,11 +139,11 @@ def _weighted_part(x: np.ndarray, weights: ArrayLike | None) -> tuple[np.ndarray
 
 
 def arithmetic_mean(x: ArrayLike) -> float:
-    return float(np.mean(_as_input(x)))
+    return float(_mean(_as_input(x)))
 
 
 def arithmetic_mean_rows(X: ArrayLike) -> np.ndarray:
-    return _as_rows(X).mean(axis=-1)
+    return _mean(_as_rows(X))
 
 
 def power_mean(x: ArrayLike, p: float, weights: ArrayLike | None = None) -> float:
@@ -326,7 +338,7 @@ def lehmer_mean(x: ArrayLike, q: float) -> float:
     _check_exponent(q, "q")
     x = _require_nonnegative(_as_input(x))
     if q == 0:
-        return float(np.mean(x))
+        return float(_mean(x))
     if q < 0:
         if np.any(x == 0):
             return 0.0
@@ -345,7 +357,7 @@ def lehmer_mean_rows(X: ArrayLike, q: float) -> np.ndarray:
     _check_exponent(q, "q")
     X = _require_nonnegative(_as_rows(X))
     if q == 0:
-        return X.mean(axis=-1)
+        return _mean(X)
     c = X.max(axis=-1, keepdims=True) if q > 0 else X.min(axis=-1, keepdims=True)
     # c = 0 only for an all-zero row, or (q < 0) an absorbing zero: both
     # give 0.  For q > 0 a zero adds 0**q = 0 to both sums, which drops it.

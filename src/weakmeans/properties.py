@@ -150,7 +150,7 @@ class PropertyReport:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return json.dumps(vars(self))  # the fields in order, without to_dict's deep copy
 
     def to_text(self) -> str:
         head = f"{self.property} {self.aggregator}: {self.verdict} " \
@@ -164,19 +164,33 @@ class PropertyReport:
 _BOUNDARY_FRACTION = 0.2  # share of sampled points biased toward the boundary
 
 
-def _sample_x(rng: np.random.Generator, m: int, n: int, box: Interval) -> np.ndarray:
-    """m points of the box, a share of them biased toward its faces, edges
-    and vertices.  Drawn in this order: the points (m, n); per row a
-    boundary coin, a face rate and a fallback coordinate (m each); the face
-    coins (m, n); the side coins (m, n)."""
-    x = rng.uniform(box.lo, box.hi, size=(m, n))
-    biased = rng.uniform(size=m) < _BOUNDARY_FRACTION
-    rate = rng.uniform(0.2, 1.0, size=m)
-    fallback = rng.integers(n, size=m)
-    face = (rng.uniform(size=(m, n)) < rate[:, None]) & biased[:, None]
+def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Uniforms of [0, 1) mapped to [lo, hi)."""
+    return lo + (hi - lo) * u
+
+
+def _below(u: np.ndarray, n: int) -> np.ndarray:
+    """Uniforms of [0, 1) mapped to the integers 0, ..., n - 1."""
+    return np.minimum((u * n).astype(np.intp), n - 1)
+
+
+def _x_width(n: int) -> int:
+    """Columns of a sample's uniform row that ``_sample_x`` maps."""
+    return 3 * n + 3
+
+
+def _sample_x(U: np.ndarray, n: int, box: Interval) -> np.ndarray:
+    """One point of the box per row of the uniform block U, a share of them
+    biased toward its faces, edges and vertices.  Of each row it maps the
+    first ``_x_width(n)`` columns: the point (n), a boundary coin, a face
+    rate, a fallback coordinate, the face coins (n) and the side coins (n)."""
+    x = _uniform(U[:, :n], box.lo, box.hi)
+    biased = U[:, n] < _BOUNDARY_FRACTION
+    rate = _uniform(U[:, n + 1], 0.2, 1.0)
+    face = (U[:, n + 3 : 2 * n + 3] < rate[:, None]) & biased[:, None]
     empty = biased & ~face.any(axis=1)
-    face[empty, fallback[empty]] = True  # a biased point has a face coordinate
-    return np.where(face, np.where(rng.uniform(size=(m, n)) < 0.5, box.lo, box.hi), x)
+    face[empty, _below(U[empty, n + 2], n)] = True  # a biased point has a face coordinate
+    return np.where(face, np.where(U[:, 2 * n + 3 : 3 * n + 3] < 0.5, box.lo, box.hi), x)
 
 
 def _arity(F: Aggregator, n: int | None) -> int:
@@ -196,26 +210,28 @@ def _as_case(probe, n: int) -> tuple | None:
     return case if all(v.size == n for v in case if v.ndim) else None
 
 
-_FIRST_CHUNK = 8  # samples; each chunk doubles the last
-# Coordinates of one chunk's (m, n) draw at most, so temporaries stay small
-# for any n while a 100k-sample check takes a few dozen chunks.
-_CHUNK_ELEMENTS = 2**16
+_FIRST_CHUNK = 8  # samples; each chunk is 8 times the last
+# Uniforms of one chunk's block at most, so temporaries stay small for any
+# n while a 100k-sample check takes 14 chunks at n = 3 and about 50 at n = 20.
+_CHUNK_ELEMENTS = 2**17
 
 
-def _falsify(prop: str, F: Aggregator, n: int | None, cfg: SamplerConfig,
-             fields: tuple, draw, test, keep=None) -> PropertyReport:
+def _falsify(prop: str, F: Aggregator, n: int | None, cfg: SamplerConfig, fields: tuple,
+             width: Callable[[int], int], draw, test, keep=None) -> PropertyReport:
     """The sampling loop shared by every property check.
 
-    Sample i (1-based) is the i-th probe point while any remain; the rest
-    are drawn in chunks of 8, 16, 32, ... samples, at most
-    ``_CHUNK_ELEMENTS // n``, and tested up to the budget.
-    ``draw(rng, m, n, box, i)`` returns, for the m sample numbers i, one
-    array per name in ``fields`` with a first axis of m.  ``test(G, *case)``
-    returns the violation flags and the values behind them; G evaluates F on
-    a vector, or on every row of an array by ``F.rows`` or else F per row.
-    Samples that ``keep(*case)`` rejects (nothing left to test after
-    clipping to the domain) and probes of another arity are skipped.  The
-    first flagged sample that F confirms on its own is the witness.
+    Sample i (1-based) is the i-th probe point while any remain; drawn
+    sample k is row k of the seed's stream of uniform rows, each
+    ``width(n)`` wide, whatever the chunking or the budget.  The rows come
+    in blocks of 8, 64, 512, ... at most ``_CHUNK_ELEMENTS // width(n)``,
+    and ``draw(U, n, box, i)`` maps a block U of the sample numbers i to one
+    array per name in ``fields`` with a first axis of len(U).
+    ``test(G, *case)`` returns the violation flags and the values behind
+    them; ``G(*points)`` evaluates F at each point, at a vector by F itself
+    and at every row of stacked arrays by one ``F.rows`` call (or else F
+    per row).  Samples that ``keep(*case)`` rejects (nothing left to test
+    after clipping to the domain) and probes of another arity are skipped.
+    The first flagged sample that F confirms on its own is the witness.
     """
     start = time.perf_counter()
     n = _arity(F, n)
@@ -225,12 +241,16 @@ def _falsify(prop: str, F: Aggregator, n: int | None, cfg: SamplerConfig,
     budget = max(cfg.samples, len(probes))
     evaluations = skipped = 0
 
-    def G(x: np.ndarray):
+    def G(*points: np.ndarray) -> list:
         nonlocal evaluations
-        evaluations += len(x) if x.ndim > 1 else 1
-        if x.ndim == 1:
-            return np.float64(F(x))
-        return np.asarray(F.rows(x) if F.rows else [F(v) for v in x], dtype=float)
+        if points[0].ndim == 1:
+            evaluations += len(points)
+            return [np.float64(F(x)) for x in points]
+        X = np.concatenate(points) if len(points) > 1 else points[0]
+        evaluations += len(X)
+        values = np.asarray(F.rows(X) if F.rows else [F(v) for v in X], dtype=float)
+        m = len(points[0])
+        return [values[k * m : (k + 1) * m] for k in range(len(points))]
 
     def witness(case: tuple) -> dict | None:
         bad, values = test(G, *case)
@@ -248,20 +268,20 @@ def _falsify(prop: str, F: Aggregator, n: int | None, cfg: SamplerConfig,
             skipped += 1
         elif (found := witness(case)) is not None:
             return report(found, used)
-    used, size = len(probes), _FIRST_CHUNK
+    cols = width(n)
+    cap = max(1, _CHUNK_ELEMENTS // cols)
+    used, size = len(probes), min(_FIRST_CHUNK, cap)
     while used < budget:
-        size = min(size, max(1, _CHUNK_ELEMENTS // n))
         m = min(size, budget - used)
-        # the last chunk is drawn whole too, so no sample depends on the budget
-        case = tuple(v[:m] for v in draw(rng, size, n, box, np.arange(used + 1, used + size + 1)))
+        case = draw(rng.random((m, cols)), n, box, np.arange(used + 1, used + m + 1))
         kept = np.ones(m, dtype=bool) if keep is None else keep(*case)
-        bad = test(G, *(v[kept] for v in case))[0]
+        bad = test(G, *(case if kept.all() else (v[kept] for v in case)))[0]
         for i in np.flatnonzero(kept)[bad].tolist():
             if (found := witness(tuple(v[i] for v in case))) is not None:
                 skipped += int(np.count_nonzero(~kept[:i]))
                 return report(found, used + i + 1)
         skipped += m - int(np.count_nonzero(kept))
-        used, size = used + m, 2 * size
+        used, size = used + m, min(8 * size, cap)
     return report(None, budget)
 
 
@@ -271,15 +291,17 @@ def check_weak_monotonicity(
     """Search for x, a > 0 with F(x + a*1) < F(x) - tol."""
     cfg = cfg or SamplerConfig()
 
-    def draw(rng, m, n, box, i):
-        x = _sample_x(rng, m, n, box)
-        return x, np.minimum(rng.uniform(0.0, cfg.shift_max, size=m), F.domain.hi - x.max(axis=-1))
+    def draw(U, n, box, i):
+        x = _sample_x(U, n, box)
+        a = _uniform(U[:, _x_width(n)], 0.0, cfg.shift_max)
+        return x, np.minimum(a, F.domain.hi - x.max(axis=-1))
 
     def test(G, x, a):
-        before, after = G(x), G(x + a[..., None])
+        before, after = G(x, x + a[..., None])
         return after < before - cfg.tol, {"value_before": before, "value_after": after}
 
-    return _falsify("weakly-monotone", F, n, cfg, ("x", "a"), draw, test, keep=lambda x, a: a > 0)
+    return _falsify("weakly-monotone", F, n, cfg, ("x", "a"), lambda n: _x_width(n) + 1,
+                    draw, test, keep=lambda x, a: a > 0)
 
 
 def check_monotonicity(
@@ -288,21 +310,20 @@ def check_monotonicity(
     """Search for x <= y componentwise with F(y) < F(x) - tol."""
     cfg = cfg or SamplerConfig()
 
-    def draw(rng, m, n, box, i):
-        # after x: a coordinate and its step per sample (m each), then a
-        # step per coordinate (m, n); odd samples raise one coordinate,
-        # even samples all
-        x = _sample_x(rng, m, n, box)
-        j = rng.integers(n, size=m)
-        one = rng.uniform(0.0, cfg.shift_max, size=m)[:, None] * (np.arange(n) == j[:, None])
-        y = x + np.where(i[:, None] % 2 == 1, one, rng.uniform(0.0, cfg.shift_max, size=(m, n)))
+    def draw(U, n, box, i):
+        # after x: a coordinate j, its step, then a step per coordinate;
+        # odd samples raise coordinate j, even samples all
+        x, k = _sample_x(U, n, box), _x_width(n)
+        step = _uniform(U[:, k + 1 :], 0.0, cfg.shift_max)
+        one = step[:, :1] * (np.arange(n) == _below(U[:, k], n)[:, None])
+        y = x + np.where(i[:, None] % 2 == 1, one, step[:, 1:])
         return x, np.minimum(y, F.domain.hi)
 
     def test(G, x, y):
-        fx, fy = G(x), G(y)
+        fx, fy = G(x, y)
         return fy < fx - cfg.tol, {"value_before": fx, "value_after": fy}
 
-    return _falsify("monotone", F, n, cfg, ("x", "y"), draw, test)
+    return _falsify("monotone", F, n, cfg, ("x", "y"), lambda n: _x_width(n) + n + 2, draw, test)
 
 
 def check_shift_invariance(
@@ -311,17 +332,18 @@ def check_shift_invariance(
     """Search for x, a with |F(x + a*1) - F(x) - a| > tol."""
     cfg = cfg or SamplerConfig()
 
-    def draw(rng, m, n, box, i):
-        x = _sample_x(rng, m, n, box)
-        a = rng.uniform(-cfg.shift_max, cfg.shift_max, size=m)
+    def draw(U, n, box, i):
+        x = _sample_x(U, n, box)
+        a = _uniform(U[:, _x_width(n)], -cfg.shift_max, cfg.shift_max)
         return x, np.clip(a, F.domain.lo - x.min(axis=-1), F.domain.hi - x.max(axis=-1))
 
     def test(G, x, a):
-        fx, fxa = G(x), G(x + a[..., None])
+        fx, fxa = G(x, x + a[..., None])
         values = {"value_before": fx, "value_after": fxa, "expected_after": fx + a}
         return np.abs(fxa - fx - a) > cfg.tol, values
 
-    return _falsify("shift-invariant", F, n, cfg, ("x", "a"), draw, test)
+    return _falsify("shift-invariant", F, n, cfg, ("x", "a"), lambda n: _x_width(n) + 1,
+                    draw, test)
 
 
 def check_homogeneity(
@@ -330,19 +352,20 @@ def check_homogeneity(
     """Search for x, lambda > 0 with |F(lambda*x) - lambda*F(x)| > tol*max(1, lambda)."""
     cfg = cfg or SamplerConfig()
 
-    def draw(rng, m, n, box, i):
-        x = _sample_x(rng, m, n, box)
-        lam = rng.uniform(0.05, 10.0, size=m)
+    def draw(U, n, box, i):
+        x = _sample_x(U, n, box)
+        lam = _uniform(U[:, _x_width(n)], 0.05, 10.0)
         top = np.abs(x).max(axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
             return x, np.where(top > 0, np.minimum(lam, F.domain.hi / top), lam)
 
     def test(G, x, lam):
-        fx, flx = G(x), G(lam[..., None] * x)
+        fx, flx = G(x, lam[..., None] * x)
         values = {"value": fx, "scaled_value": flx, "expected": lam * fx}
         return np.abs(flx - lam * fx) > cfg.tol * np.maximum(1.0, lam), values
 
-    return _falsify("homogeneous", F, n, cfg, ("x", "lambda"), draw, test)
+    return _falsify("homogeneous", F, n, cfg, ("x", "lambda"), lambda n: _x_width(n) + 1,
+                    draw, test)
 
 
 def check_idempotency(
@@ -352,14 +375,14 @@ def check_idempotency(
     cfg = cfg or SamplerConfig()
     n = _arity(F, n)
 
-    def draw(rng, m, n, box, i):
-        return (rng.uniform(box.lo, box.hi, size=m),)
+    def draw(U, n, box, i):
+        return (_uniform(U[:, 0], box.lo, box.hi),)
 
     def test(G, t):
-        ft = G(np.repeat(t[..., None], n, axis=-1))
+        (ft,) = G(np.repeat(t[..., None], n, axis=-1))
         return np.abs(ft - t) > cfg.tol, {"value": ft}
 
-    return _falsify("idempotent", F, n, cfg, ("t",), draw, test)
+    return _falsify("idempotent", F, n, cfg, ("t",), lambda n: 1, draw, test)
 
 
 def check_averaging(
@@ -369,11 +392,11 @@ def check_averaging(
     cfg = cfg or SamplerConfig()
 
     def test(G, x):
-        fx = G(x)
+        (fx,) = G(x)
         return (fx < x.min(axis=-1) - cfg.tol) | (fx > x.max(axis=-1) + cfg.tol), {"value": fx}
 
-    draw = lambda rng, m, n, box, i: (_sample_x(rng, m, n, box),)
-    return _falsify("averaging", F, n, cfg, ("x",), draw, test)
+    draw = lambda U, n, box, i: (_sample_x(U, n, box),)
+    return _falsify("averaging", F, n, cfg, ("x",), _x_width, draw, test)
 
 
 def check_internality(
@@ -383,11 +406,11 @@ def check_internality(
     cfg = cfg or SamplerConfig()
 
     def test(G, x):
-        fx = G(x)
+        (fx,) = G(x)
         return np.abs(x - fx[..., None]).min(axis=-1) > cfg.tol, {"value": fx}
 
-    draw = lambda rng, m, n, box, i: (_sample_x(rng, m, n, box),)
-    return _falsify("internal", F, n, cfg, ("x",), draw, test)
+    draw = lambda U, n, box, i: (_sample_x(U, n, box),)
+    return _falsify("internal", F, n, cfg, ("x",), _x_width, draw, test)
 
 
 CHECKS = {

@@ -14,7 +14,7 @@ from weakmeans import (
     owa_penalty_estimator,
     shorth,
 )
-from weakmeans.location import lms_rows
+from weakmeans.location import lms_rows, shorth_rows
 from weakmeans.means import midrange
 from weakmeans.penalty import penalty_values
 
@@ -95,6 +95,22 @@ def test_lms_values():
     X = np.array([[1e308, 1.5e308], [-1.5e308, -1e308], [1.5e308, 1e308]])
     assert lms(X[0]) == 1.25e308
     np.testing.assert_array_equal(lms_rows(X), [lms(x) for x in X])
+
+
+def test_window_means_are_finite_at_the_float_range_end():
+    # the mean of the window and the LTS sum of squares overflow; the
+    # estimators fall back to a power-of-two scale
+    X = np.array([[1e308, 1.5e308], [-1.5e308, -1e308], [1.5e308, 1e308]])
+    for estimator in (shorth, lts, lambda x: owa_penalty_estimator(x, [1, 1])):
+        assert [estimator(x) for x in X] == [1.25e308, -1.25e308, 1.25e308]
+    np.testing.assert_array_equal(shorth_rows(X), [1.25e308, -1.25e308, 1.25e308])
+    # where the squares overflow, the result is the one at a power-of-two scale
+    rng = np.random.default_rng(4)
+    for _ in range(30):
+        x = rng.uniform(-10, 10, rng.integers(2, 9))
+        assert lts(np.ldexp(x, 1000)) == pytest.approx(np.ldexp(lts(x), 1000), rel=1e-12)
+        big = owa_penalty_estimator(np.ldexp(x, 1000), np.ones(x.size))
+        assert big == pytest.approx(np.ldexp(np.mean(x), 1000), rel=1e-12)
 
 
 def test_one_value_is_its_own_estimate():

@@ -21,7 +21,7 @@ from weakmeans import (
     power_mean,
     quasi_arithmetic_mean,
 )
-from weakmeans.means import median_rows, midrange_rows
+from weakmeans.means import arithmetic_mean_rows, lehmer_mean_rows, median_rows, midrange_rows
 
 finite = st.floats(0.01, 10.0, allow_nan=False)
 vectors = st.lists(finite, min_size=1, max_size=8)
@@ -119,6 +119,19 @@ def test_midpoints_are_finite_at_the_float_range_end():
     for scalar, rows in ((median, median_rows), (midrange, midrange_rows)):
         for Y in (X, X[:, :2]):
             np.testing.assert_array_equal(rows(Y), [scalar(y) for y in Y])
+
+
+def test_means_are_finite_at_the_float_range_end():
+    # 1e308 + 1.5e308 overflows; the sum of the halves does not
+    X = np.array([[1e308, 1.5e308], [1.5e308, 1e308], [1.0, 4.0]])
+    expected = [1.25e308, 1.25e308, 2.5]
+    for rows in (arithmetic_mean_rows, lambda X: lehmer_mean_rows(X, 0.0)):
+        np.testing.assert_array_equal(rows(X), expected)
+    assert arithmetic_mean(X[0]) == lehmer_mean(X[0], 0.0) == 1.25e308
+    assert arithmetic_mean(-X[0]) == -1.25e308
+    # n values rescaled by 2^k > n: five of 1.7e308 still sum to a finite value
+    assert arithmetic_mean([1.7e308] * 5) == 1.7e308
+    assert arithmetic_mean([1.7e308, -1.7e308, 1.7e308]) == pytest.approx(1.7e308 / 3, rel=1e-15)
 
 
 def test_bajraktarevic_special_cases():

@@ -21,7 +21,7 @@ from weakmeans import (
     lehmer_mean,
     median,
 )
-from weakmeans import location, means
+from weakmeans import location, means, properties
 from weakmeans.properties import AGGREGATORS, CHECKS, PropertyReport, named_aggregator
 
 FAST = SamplerConfig(samples=4000, seed=0)
@@ -390,16 +390,55 @@ def test_rows_flags_are_confirmed_through_the_scalar_function():
     assert report.evaluations > FAST.samples  # each flagged row went through F again
 
 
-@pytest.mark.parametrize("prop", ["monotone", "shift-invariant", "internal"])
-def test_samples_do_not_depend_on_the_budget(prop):
-    F = named_aggregator("lehmer", q=2.0)
+# Lehmer q = 2 at n = 3, then every property with its violating aggregator
+BUDGET_CASES = [pytest.param(prop, named_aggregator("lehmer", q=2.0), 3, id=prop)
+                for prop in ("monotone", "shift-invariant", "internal")] + [
+    pytest.param(prop, F, n, id=f"{prop}-{F.name}") for prop, (F, n, _) in WITNESS_CASES.items()]
+
+
+@pytest.mark.parametrize("prop,F,n", BUDGET_CASES)
+def test_samples_do_not_depend_on_the_budget(prop, F, n):
     for seed in range(10):
-        report = CHECKS[prop](F, n=3, cfg=SamplerConfig(samples=300, seed=seed))
+        report = CHECKS[prop](F, n=n, cfg=SamplerConfig(samples=300, seed=seed))
         k = report.samples_used  # the witness is sample k, whatever the budget
-        assert CHECKS[prop](F, n=3, cfg=SamplerConfig(samples=k, seed=seed)) \
+        assert CHECKS[prop](F, n=n, cfg=SamplerConfig(samples=k, seed=seed)) \
             .witness == report.witness
         if k > 1:
-            assert not CHECKS[prop](F, n=3, cfg=SamplerConfig(samples=k - 1, seed=seed)).violated
+            assert not CHECKS[prop](F, n=n, cfg=SamplerConfig(samples=k - 1, seed=seed)).violated
+
+
+@pytest.mark.parametrize("first,elements", [(1, 1), (1, 39), (3, 100), (64, 2**20)])
+def test_chunking_does_not_change_the_report(monkeypatch, first, elements):
+    """Sample i is row i of the seed's uniform stream, however it is chunked."""
+    # the median at odd n has all 7 properties, so every check runs its full budget
+    cases = [(prop, named_aggregator("median"), 5) for prop in CHECKS] + [
+        (prop, F, n) for prop, (F, n, _) in WITNESS_CASES.items()]
+    masked = lambda r, *names: replace(r, elapsed_s=0.0, **{k: 0 for k in names})
+
+    def reports():
+        return [CHECKS[prop](F, n=n, cfg=SamplerConfig(samples=300, seed=seed))
+                for prop, F, n in cases for seed in range(3)]
+
+    before = reports()
+    monkeypatch.setattr(properties, "_FIRST_CHUNK", first)
+    monkeypatch.setattr(properties, "_CHUNK_ELEMENTS", elements)
+    for old, new in zip(before, reports(), strict=True):
+        # an early exit evaluates the rest of the chunk that holds the witness
+        names = ("evaluations",) if old.violated else ()
+        assert masked(new, *names) == masked(old, *names), (old.property, old.aggregator)
+
+
+@pytest.mark.parametrize("name", sorted(k for k, v in AGGREGATORS.items() if v.rows))
+def test_stacked_rows_equal_separate_calls(name):
+    """The paired checks evaluate both points of a sample in one rows call."""
+    for n in (1, 2, 3, 5, 8):
+        X = _row_cases(n, AGGREGATORS[name].domain.lo == 0)
+        Y = X[::-1] * 1.5
+        for params in _row_params(name, n):
+            F = named_aggregator(name, **params)
+            np.testing.assert_array_equal(F.rows(np.concatenate([X, Y])),
+                                          np.concatenate([F.rows(X), F.rows(Y)]),
+                                          err_msg=f"{name} {params} n={n}")
 
 
 def test_early_exit_stops_in_the_first_chunk():
