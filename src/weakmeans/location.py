@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .means import _as_input, _as_rows, _check_positive, _check_weights, _mean, _midpoint
+from .means import (_as_input, _as_rows, _check_positive, _check_weights, _mean, _midpoint,
+                    _scale_exponent)
 
 ArrayLike = Sequence[float] | np.ndarray
 
@@ -110,15 +111,18 @@ def lts(x: ArrayLike) -> float:
     """
     xs = np.sort(_as_input(x))
     windows = sliding_window_view(xs, xs.size // 2 + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        means = windows.mean(axis=-1)
-        sse = ((windows - means[:, None]) ** 2).sum(axis=-1)  # centered, shift-stable
-    if not np.isfinite(sse).all():
-        # at the float range end, find the window at a power-of-two scale
-        e = int(np.frexp(np.abs(xs).max())[1])
-        return float(np.ldexp(lts(np.ldexp(xs, -e)), e))
+    means = _mean(windows)
+    with np.errstate(over="ignore"):
+        # centered, shift-stable; a sum that overflows is above every finite one
+        sse = ((windows - means[:, None]) ** 2).sum(axis=-1)
+    unit = 1.0
+    if np.isinf(sse).all():
+        # compare them at a power-of-two scale, where none overflows
+        e = _scale_exponent(xs)
+        sse = ((np.ldexp(windows, -e) - np.ldexp(means, -e)[:, None]) ** 2).sum(axis=-1)
+        unit = np.ldexp(1.0, -2 * int(e[0]))  # 1 at the scale of x
     best = sse.min()
-    return float(means[np.argmax(sse <= best + 1e-9 * max(1.0, best))])
+    return float(means[np.argmax(sse <= best + 1e-9 * max(unit, best))])
 
 
 def owa_penalty(delta: ArrayLike) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -152,24 +156,46 @@ def owa_penalty_estimator(x: ArrayLike, delta: ArrayLike) -> float:
     bounds = np.unique(_midpoint(x[:, None], x[None, :]))
     if bounds.size == 1:
         return float(bounds[0])
-    centers = _midpoint(bounds[:-1], bounds[1:])
-    with np.errstate(over="ignore", invalid="ignore"):
-        # per-segment residual-magnitude ordering of the data
-        xs = x[np.argsort(np.abs(x[None, :] - centers[:, None]), axis=1, kind="stable")]
-        y = np.clip((xs @ d) / d.sum(), bounds[:-1], bounds[1:])
-        vals = ((xs - y[:, None]) ** 2) @ d
-    if not np.isfinite(vals).all():
+    y, vals = _owa_segment_minima(x, d, bounds)
+    unit, e = 1.0, 0
+    if not (np.isfinite(y).all() and np.isfinite(vals).any()):
         # at the float range end, solve at a power-of-two scale of x and of
-        # delta, where no residual or penalty overflows
-        e = int(np.frexp(np.abs(x).max())[1])
-        d = np.ldexp(d, -int(np.frexp(d.max())[1]))
-        return float(np.ldexp(owa_penalty_estimator(np.ldexp(x, -e), d), e))
+        # delta, where no vertex or penalty overflows
+        e, f = int(_scale_exponent(x)[0]), int(_scale_exponent(d)[0])
+        bounds = np.ldexp(bounds, -e)
+        y, vals = _owa_segment_minima(np.ldexp(x, -e), np.ldexp(d, -f), bounds)
+        unit = np.ldexp(1.0, -2 * e - f)  # 1 at the scale of x and delta
     # Ties are decided between segment minima only: a vertex clipped to the
     # right end of any segment but the last is no minimum (the next segment
     # is lower there), so it cannot win a tie over a true minimum beside it.
     vals[:-1][y[:-1] == bounds[1:-1]] = np.inf
     best = float(vals.min())
-    return float(y[int(np.argmax(vals <= best + 1e-12 * max(1.0, best)))])
+    return float(np.ldexp(y[int(np.argmax(vals <= best + 1e-12 * max(unit, best)))], e))
+
+
+def _owa_segment_minima(x: np.ndarray, d: np.ndarray, bounds: np.ndarray):
+    """The minimiser and minimum of the OWA penalty on each segment between
+    consecutive bounds.  A minimum that overflows is inf, above every finite
+    one; a zero weight takes no part, even where its residual overflows."""
+    centers = _midpoint(bounds[:-1], bounds[1:])
+    u = np.unique(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # per-segment residual-magnitude ordering of the data
+        order = np.argsort(np.abs(x[None, :] - centers[:, None]), axis=1, kind="stable")
+        # A segment far from the points, against their least spacing, may
+        # round two residuals on one side of it to one magnitude; there the
+        # nearer point comes first, as it does at every point of the segment.
+        far = np.maximum(centers - u[0], u[-1] - centers) >= np.diff(u).min() * 2.0**50
+        if far.any():
+            r = x[None, :] - centers[far, None]
+            order[far] = np.lexsort((np.where(r < 0, -x, x), np.abs(r)), axis=-1)
+        xs = x[order]
+        y = np.clip((xs @ d) / d.sum(), bounds[:-1], bounds[1:])
+        vals = ((xs - y[:, None]) ** 2) @ d
+        # where a residual overflows, a zero weight still takes no part
+        nan = np.isnan(vals)
+        vals[nan] = np.where(d > 0, (xs[nan] - y[nan, None]) ** 2, 0.0) @ d
+    return y, vals
 
 
 def density_mean(x: ArrayLike) -> float:
@@ -181,7 +207,7 @@ def density_mean(x: ArrayLike) -> float:
     # putting the largest in (1, 2], is 1 / (1 + m) times r 4^e; the least
     # subnormal bounds 4^-e, which then matters only when every m is 0.  The
     # clip keeps the last rounding inside [min x, max x].
-    e = max(0, int(np.frexp(np.abs(x).max())[1]))
+    e = max(0, int(_scale_exponent(x)[0]))
     xs = np.ldexp(x, -e)
     m = ((xs[:, None] - xs[None, :]) ** 2).mean(axis=1)  # m / 4^e
     t = np.ldexp(1.0, -min(2 * e, 1074)) + m

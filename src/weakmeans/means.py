@@ -118,16 +118,22 @@ def _midpoint(a, b):
     return np.where(np.isfinite(s), 0.5 * s, 0.5 * a + 0.5 * b)
 
 
+def _scale_exponent(X) -> np.ndarray:
+    """Per row (last axis), the e that puts the largest magnitude of X / 2^e
+    in [0.5, 1), kept as an (..., 1) column: no sum of squares over a row
+    of X / 2^e overflows, and scaling by 2^e is exact away from subnormals."""
+    return np.frexp(np.abs(X).max(axis=-1, keepdims=True))[1]
+
+
 def _mean(X):
     """X.mean(axis=-1), finite for finite X: the plain mean where it is
-    finite, else the mean of X / 2^k times 2^k, with 2^k > n so that the
-    sum cannot overflow."""
+    finite, else the mean of X / 2^e times 2^e (``_scale_exponent``)."""
     with np.errstate(over="ignore", invalid="ignore"):
         m = X.mean(axis=-1)
     if np.isfinite(m).all():
         return m
-    k = X.shape[-1].bit_length()
-    return np.where(np.isfinite(m), m, np.ldexp(np.ldexp(X, -k).mean(axis=-1), k))
+    e = _scale_exponent(X)
+    return np.where(np.isfinite(m), m, np.ldexp(np.ldexp(X, -e).mean(axis=-1), e[..., 0]))
 
 
 def _weighted_part(x: np.ndarray, weights: ArrayLike | None) -> tuple[np.ndarray, np.ndarray]:

@@ -174,15 +174,10 @@ def _below(u: np.ndarray, n: int) -> np.ndarray:
     return np.minimum((u * n).astype(np.intp), n - 1)
 
 
-def _x_width(n: int) -> int:
-    """Columns of a sample's uniform row that ``_sample_x`` maps."""
-    return 3 * n + 3
-
-
 def _sample_x(U: np.ndarray, n: int, box: Interval) -> np.ndarray:
     """One point of the box per row of the uniform block U, a share of them
     biased toward its faces, edges and vertices.  Of each row it maps the
-    first ``_x_width(n)`` columns: the point (n), a boundary coin, a face
+    first 3n + 3 columns: the point (n), a boundary coin, a face
     rate, a fallback coordinate, the face coins (n) and the side coins (n)."""
     x = _uniform(U[:, :n], box.lo, box.hi)
     biased = U[:, n] < _BOUNDARY_FRACTION
@@ -217,15 +212,16 @@ _CHUNK_ELEMENTS = 2**17
 
 
 def _falsify(prop: str, F: Aggregator, n: int | None, cfg: SamplerConfig, fields: tuple,
-             width: Callable[[int], int], draw, test, keep=None) -> PropertyReport:
+             extra: int, draw, test, keep=None) -> PropertyReport:
     """The sampling loop shared by every property check.
 
     Sample i (1-based) is the i-th probe point while any remain; drawn
-    sample k is row k of the seed's stream of uniform rows, each
-    ``width(n)`` wide, whatever the chunking or the budget.  The rows come
-    in blocks of 8, 64, 512, ... at most ``_CHUNK_ELEMENTS // width(n)``,
-    and ``draw(U, n, box, i)`` maps a block U of the sample numbers i to one
-    array per name in ``fields`` with a first axis of len(U).
+    sample k is row k of the seed's stream of uniform rows, whatever the
+    chunking or the budget.  A row has the 3n + 3 columns ``_sample_x``
+    maps, then ``extra`` more.  The rows come in blocks of 8, 64, 512, ...
+    of at most ``_CHUNK_ELEMENTS`` uniforms, and ``draw(U, n, box, i)`` maps
+    a block U of the sample numbers i to one array per name in ``fields``
+    with a first axis of len(U).
     ``test(G, *case)`` returns the violation flags and the values behind
     them; ``G(*points)`` evaluates F at each point, at a vector by F itself
     and at every row of stacked arrays by one ``F.rows`` call (or else F
@@ -268,7 +264,7 @@ def _falsify(prop: str, F: Aggregator, n: int | None, cfg: SamplerConfig, fields
             skipped += 1
         elif (found := witness(case)) is not None:
             return report(found, used)
-    cols = width(n)
+    cols = 3 * n + 3 + extra
     cap = max(1, _CHUNK_ELEMENTS // cols)
     used, size = len(probes), min(_FIRST_CHUNK, cap)
     while used < budget:
@@ -293,15 +289,15 @@ def check_weak_monotonicity(
 
     def draw(U, n, box, i):
         x = _sample_x(U, n, box)
-        a = _uniform(U[:, _x_width(n)], 0.0, cfg.shift_max)
+        a = _uniform(U[:, -1], 0.0, cfg.shift_max)
         return x, np.minimum(a, F.domain.hi - x.max(axis=-1))
 
     def test(G, x, a):
         before, after = G(x, x + a[..., None])
         return after < before - cfg.tol, {"value_before": before, "value_after": after}
 
-    return _falsify("weakly-monotone", F, n, cfg, ("x", "a"), lambda n: _x_width(n) + 1,
-                    draw, test, keep=lambda x, a: a > 0)
+    return _falsify("weakly-monotone", F, n, cfg, ("x", "a"), 1, draw, test,
+                    keep=lambda x, a: a > 0)
 
 
 def check_monotonicity(
@@ -309,13 +305,14 @@ def check_monotonicity(
 ) -> PropertyReport:
     """Search for x <= y componentwise with F(y) < F(x) - tol."""
     cfg = cfg or SamplerConfig()
+    n = _arity(F, n)
 
     def draw(U, n, box, i):
         # after x: a coordinate j, its step, then a step per coordinate;
         # odd samples raise coordinate j, even samples all
-        x, k = _sample_x(U, n, box), _x_width(n)
-        step = _uniform(U[:, k + 1 :], 0.0, cfg.shift_max)
-        one = step[:, :1] * (np.arange(n) == _below(U[:, k], n)[:, None])
+        x = _sample_x(U, n, box)
+        step = _uniform(U[:, -n - 1 :], 0.0, cfg.shift_max)
+        one = step[:, :1] * (np.arange(n) == _below(U[:, -n - 2], n)[:, None])
         y = x + np.where(i[:, None] % 2 == 1, one, step[:, 1:])
         return x, np.minimum(y, F.domain.hi)
 
@@ -323,7 +320,7 @@ def check_monotonicity(
         fx, fy = G(x, y)
         return fy < fx - cfg.tol, {"value_before": fx, "value_after": fy}
 
-    return _falsify("monotone", F, n, cfg, ("x", "y"), lambda n: _x_width(n) + n + 2, draw, test)
+    return _falsify("monotone", F, n, cfg, ("x", "y"), n + 2, draw, test)
 
 
 def check_shift_invariance(
@@ -334,7 +331,7 @@ def check_shift_invariance(
 
     def draw(U, n, box, i):
         x = _sample_x(U, n, box)
-        a = _uniform(U[:, _x_width(n)], -cfg.shift_max, cfg.shift_max)
+        a = _uniform(U[:, -1], -cfg.shift_max, cfg.shift_max)
         return x, np.clip(a, F.domain.lo - x.min(axis=-1), F.domain.hi - x.max(axis=-1))
 
     def test(G, x, a):
@@ -342,8 +339,7 @@ def check_shift_invariance(
         values = {"value_before": fx, "value_after": fxa, "expected_after": fx + a}
         return np.abs(fxa - fx - a) > cfg.tol, values
 
-    return _falsify("shift-invariant", F, n, cfg, ("x", "a"), lambda n: _x_width(n) + 1,
-                    draw, test)
+    return _falsify("shift-invariant", F, n, cfg, ("x", "a"), 1, draw, test)
 
 
 def check_homogeneity(
@@ -354,7 +350,7 @@ def check_homogeneity(
 
     def draw(U, n, box, i):
         x = _sample_x(U, n, box)
-        lam = _uniform(U[:, _x_width(n)], 0.05, 10.0)
+        lam = _uniform(U[:, -1], 0.05, 10.0)
         top = np.abs(x).max(axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
             return x, np.where(top > 0, np.minimum(lam, F.domain.hi / top), lam)
@@ -364,8 +360,7 @@ def check_homogeneity(
         values = {"value": fx, "scaled_value": flx, "expected": lam * fx}
         return np.abs(flx - lam * fx) > cfg.tol * np.maximum(1.0, lam), values
 
-    return _falsify("homogeneous", F, n, cfg, ("x", "lambda"), lambda n: _x_width(n) + 1,
-                    draw, test)
+    return _falsify("homogeneous", F, n, cfg, ("x", "lambda"), 1, draw, test)
 
 
 def check_idempotency(
@@ -376,13 +371,15 @@ def check_idempotency(
     n = _arity(F, n)
 
     def draw(U, n, box, i):
+        # t is uniform like a point's first coordinate; its row's other
+        # columns go unused
         return (_uniform(U[:, 0], box.lo, box.hi),)
 
     def test(G, t):
         (ft,) = G(np.repeat(t[..., None], n, axis=-1))
         return np.abs(ft - t) > cfg.tol, {"value": ft}
 
-    return _falsify("idempotent", F, n, cfg, ("t",), lambda n: 1, draw, test)
+    return _falsify("idempotent", F, n, cfg, ("t",), 0, draw, test)
 
 
 def check_averaging(
@@ -396,7 +393,7 @@ def check_averaging(
         return (fx < x.min(axis=-1) - cfg.tol) | (fx > x.max(axis=-1) + cfg.tol), {"value": fx}
 
     draw = lambda U, n, box, i: (_sample_x(U, n, box),)
-    return _falsify("averaging", F, n, cfg, ("x",), _x_width, draw, test)
+    return _falsify("averaging", F, n, cfg, ("x",), 0, draw, test)
 
 
 def check_internality(
@@ -410,7 +407,7 @@ def check_internality(
         return np.abs(x - fx[..., None]).min(axis=-1) > cfg.tol, {"value": fx}
 
     draw = lambda U, n, box, i: (_sample_x(U, n, box),)
-    return _falsify("internal", F, n, cfg, ("x",), _x_width, draw, test)
+    return _falsify("internal", F, n, cfg, ("x",), 0, draw, test)
 
 
 CHECKS = {

@@ -113,6 +113,28 @@ def test_window_means_are_finite_at_the_float_range_end():
         assert big == pytest.approx(np.ldexp(np.mean(x), 1000), rel=1e-12)
 
 
+def test_one_distant_outlier_is_trimmed():
+    # the outlier's sum of squares overflows; the other windows keep their
+    # own scale, and under trimmed weights its residual takes no part
+    x = [0, 5, 10, 10.5, 11, 1e308]
+    assert lts(x) == owa_penalty_estimator(x, [1, 1, 1, 1, 0, 0]) == 9.125
+    # an outlier ever farther off changes no estimate, unless it is one
+    rng = np.random.default_rng(6)
+    for _ in range(60):
+        x = rng.uniform(-10, 10, rng.integers(2, 9))
+        h = (x.size + 1) // 2 + 1  # LTS weights for the n + 1 values
+        trimmed = [1.0] * h + [0.0] * (x.size + 1 - h)
+        d = np.append(rng.integers(0, 3, x.size), 0.0)  # none on the largest residual
+        d[0] = 1.0
+        for outlier in (1e18, 1e200, 1.7e308):
+            for far in (outlier, -outlier):
+                near = np.append(x, np.sign(far) * 1e6)
+                assert lts(np.append(x, far)) == lts(near)
+                assert owa_penalty_estimator(np.append(x, far), trimmed) == pytest.approx(lts(near))
+                ref = owa_penalty_estimator(near, d)
+                assert owa_penalty_estimator(np.append(x, far), d) == (far if abs(ref) == 1e6 else ref)
+
+
 def test_one_value_is_its_own_estimate():
     for estimator in ESTIMATORS:
         assert estimator([3.5]) == 3.5
