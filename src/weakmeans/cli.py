@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import pgm, tonal
-from .properties import CHECKS, SamplerConfig, lehmer_bound_table, named_aggregator
+from .properties import CHECKS, TABLE_SAMPLES, SamplerConfig, lehmer_bound_table, named_aggregator
 
 
 def _numbers(tokens: list[str], what: str) -> np.ndarray:
@@ -43,6 +44,12 @@ def _read_values(args) -> np.ndarray:
     return values
 
 
+def _given(args, config) -> dict:
+    """The options given on the command line for fields of the dataclass
+    `config`; a field whose option was left out keeps its default there."""
+    return {f.name: v for f in fields(config) if (v := getattr(args, f.name, None)) is not None}
+
+
 def cmd_aggregate(args) -> int:
     agg = named_aggregator(args.name, q=args.q, p=args.p, weights=_parse_weights(args.weights))
     x = _read_values(args)
@@ -51,25 +58,16 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.property not in CHECKS:
-        raise ValueError(f"unknown property {args.property!r}; choose from {sorted(CHECKS)}")
     agg = named_aggregator(args.name, q=args.q, p=args.p, weights=_parse_weights(args.weights))
-    cfg = SamplerConfig(
-        samples=args.samples,
-        seed=args.seed,
-        tol=args.tol,
-        shift_max=args.shift_max,
-    )
-    report = CHECKS[args.property](agg, n=args.n, cfg=cfg)
+    report = CHECKS[args.property](agg, n=args.n, cfg=SamplerConfig(**_given(args, SamplerConfig)))
     print(report.to_json() if args.format == "machine" else report.to_text())
     return 1 if report.violated else 0
 
 
 def cmd_table(args) -> int:
     q_values = _numbers(args.q_list.split(","), f"--q-list {args.q_list!r}")
-    rows = lehmer_bound_table(
-        q_values, args.n_max, SamplerConfig(samples=args.samples, seed=args.seed)
-    )
+    cfg = SamplerConfig(**{"samples": TABLE_SAMPLES, **_given(args, SamplerConfig)})
+    rows = lehmer_bound_table(q_values, args.n_max, cfg)
     header = f"{'q':>8} {'n':>4} {'bound':>10}  {'theory':<36} {'empirical':<20}"
     print(header)
     print("-" * len(header))
@@ -85,17 +83,7 @@ def cmd_table(args) -> int:
 def cmd_filter(args) -> int:
     data = Path(args.infile).read_bytes()
     img = pgm.read_pgm(data)
-    cfg = tonal.FilterConfig(
-        radius=args.radius,
-        spatial_sigma=args.spatial_sigma,
-        tonal_kernel=args.tonal_kernel,
-        tonal_sigma=args.tonal_sigma,
-        estimator=args.estimator,
-        dissimilarity=args.dissimilarity,
-        huber_delta=args.huber_delta,
-        boundary=args.boundary,
-        mode_quantize=1.0 / img.maxval,
-    )
+    cfg = tonal.FilterConfig(mode_quantize=1.0 / img.maxval, **_given(args, tonal.FilterConfig))
     out = tonal.filter_image(img, cfg)
     Path(args.outfile).write_bytes(pgm.write_pgm(out))
     print(
@@ -132,35 +120,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_aggregate)
 
     p = sub.add_parser("check", help="falsify or fail to falsify a property")
-    p.add_argument("property", help="|".join(sorted(CHECKS)))
+    p.add_argument("property", choices=sorted(CHECKS))
     p.add_argument("name")
     _add_mean_params(p)
     p.add_argument("--n", type=int, default=None, help="argument count")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--shift-max", type=float, default=0.5)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--shift-max", type=float)
     p.add_argument("--format", choices=("text", "machine"), default="text")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("table", help="Lehmer weak-monotonicity bound table")
     p.add_argument("--q-list", default="1,2,3")
     p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--samples", type=int, default=20_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("filter", help="spatial-tonal filter a PGM image")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--radius", type=int, default=1)
-    p.add_argument("--spatial-sigma", type=float, default=1.0)
-    p.add_argument("--tonal-kernel", choices=tonal.TONAL_KERNELS, default="gaussian")
-    p.add_argument("--tonal-sigma", type=float, default=0.1)
-    p.add_argument("--estimator", choices=tonal.ESTIMATORS, default="center")
-    p.add_argument("--dissimilarity", choices=tonal.DISSIMILARITIES, default="squared")
-    p.add_argument("--huber-delta", type=float, default=0.1)
-    p.add_argument("--boundary", choices=tonal.BOUNDARIES, default="mirror")
+    p.add_argument("--radius", type=int)
+    p.add_argument("--spatial-sigma", type=float)
+    p.add_argument("--tonal-kernel", choices=tonal.TONAL_KERNELS)
+    p.add_argument("--tonal-sigma", type=float)
+    p.add_argument("--estimator", choices=tonal.ESTIMATORS)
+    p.add_argument("--dissimilarity", choices=tonal.DISSIMILARITIES)
+    p.add_argument("--huber-delta", type=float)
+    p.add_argument("--boundary", choices=tonal.BOUNDARIES)
     p.set_defaults(func=cmd_filter)
 
     return parser

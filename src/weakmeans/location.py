@@ -59,11 +59,13 @@ def _shortest_window(x: ArrayLike) -> tuple[np.ndarray, int, int]:
     xs = np.sort(_as_input(x))
     n = xs.size
     half = n // 2
-    length = xs[half:] - xs[: n - half]
+    # half of each window's length, finite where the length overflows; a
+    # power of two commutes with rounding, so the choice is that of lengths
+    length = 0.5 * xs[half:] - 0.5 * xs[: n - half]
     # near-ties (within fp noise of a uniform shift) resolve to the smallest
     # start so the selection is stable under translation of quantized data
     tol = 1e-9 * max(1.0, float(np.abs(xs).max()))
-    return xs, int(np.argmax(length <= length.min() + tol)), half
+    return xs, int(np.argmax(length <= length.min() + 0.5 * tol)), half
 
 
 def shorth(x: ArrayLike) -> float:
@@ -84,9 +86,9 @@ def _shortest_rows(X: ArrayLike) -> tuple[np.ndarray, np.ndarray, int]:
     xs = np.sort(_as_rows(X), axis=-1)
     n = xs.shape[-1]
     half, starts = n // 2, (n + 1) // 2
-    length = xs[..., half : half + starts] - xs[..., :starts]
+    length = 0.5 * xs[..., half : half + starts] - 0.5 * xs[..., :starts]  # halved
     tol = 1e-9 * np.maximum(1.0, np.abs(xs).max(axis=-1, keepdims=True))
-    k = np.argmax(length <= length.min(axis=-1, keepdims=True) + tol, axis=-1)
+    k = np.argmax(length <= length.min(axis=-1, keepdims=True) + 0.5 * tol, axis=-1)
     return xs, k[..., None], half
 
 

@@ -70,11 +70,12 @@ def _require_nonnegative(x: np.ndarray) -> np.ndarray:
 
 
 def _check_weights(w: ArrayLike, label: str = "weights") -> np.ndarray:
-    """A weight vector as floats: finite and non-negative with a positive sum."""
+    """A weight vector as floats: finite and non-negative with a positive sum
+    (tested as a positive entry, since the sum may overflow)."""
     w = np.asarray(w, dtype=float)
     if not np.all(np.isfinite(w)):
         raise ValueError(f"{label} must be finite, got {w}")
-    if np.any(w < 0) or w.sum() <= 0:
+    if np.any(w < 0) or not np.any(w > 0):
         raise ValueError(f"{label} must be non-negative with a positive sum")
     return w
 
@@ -107,7 +108,8 @@ def _norm_weights(w: ArrayLike | None, n: int) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"expected {n} weights, got shape {w.shape}")
-    return _check_weights(w) / w.sum()
+    w = _summable(_check_weights(w))
+    return w / w.sum()
 
 
 def _midpoint(a, b):
@@ -123,6 +125,16 @@ def _scale_exponent(X) -> np.ndarray:
     in [0.5, 1), kept as an (..., 1) column: no sum of squares over a row
     of X / 2^e overflows, and scaling by 2^e is exact away from subnormals."""
     return np.frexp(np.abs(X).max(axis=-1, keepdims=True))[1]
+
+
+def _summable(w: np.ndarray) -> np.ndarray:
+    """Weights w as they are where their sum is finite, else w / 2^e
+    (``_scale_exponent``), whose sum is finite: exact scaling keeps every
+    ratio of weights, and so the weighted mean."""
+    with np.errstate(over="ignore"):
+        if np.isfinite(w.sum()):
+            return w
+    return np.ldexp(w, -_scale_exponent(w))
 
 
 def _mean(X):
@@ -271,7 +283,7 @@ def bajraktarevic_mean(
     x = _as_input(x)
     if len(weight_fns) != x.size:
         raise ValueError("one weight function per coordinate required")
-    w = _check_weight_values([float(fn(v)) for fn, v in zip(weight_fns, x)])
+    w = _summable(_check_weight_values([float(fn(v)) for fn, v in zip(weight_fns, x)]))
     gx = np.asarray(g(x), dtype=float)
     return _finite(float(g_inv(float(np.dot(w, gx)) / float(w.sum()))))
 
@@ -279,7 +291,7 @@ def bajraktarevic_mean(
 def mixture_mean(x: ArrayLike, w_fn: Callable[[np.ndarray], np.ndarray]) -> float:
     """sum w(x_i) x_i / sum w(x_i); invariant to scaling of w."""
     x = _as_input(x)
-    w = _check_weight_values(w_fn(x))
+    w = _summable(_check_weight_values(w_fn(x)))
     return _finite(float(np.dot(w, x)) / float(w.sum()))
 
 

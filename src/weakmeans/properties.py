@@ -458,6 +458,9 @@ def check_mixture_sufficient_condition(
                           elapsed_s=time.perf_counter() - start)
 
 
+TABLE_SAMPLES = 20_000  # the table's default budget per (q, n) row
+
+
 def lehmer_bound_table(
     q_values: Sequence[float], n_max: int, cfg: SamplerConfig | None = None
 ) -> list[dict]:
@@ -465,7 +468,7 @@ def lehmer_bound_table(
     the Lehmer mean over a (q, n) grid."""
     for q in q_values:
         _check_exponent(q, "q")
-    cfg = cfg or SamplerConfig(samples=20_000)
+    cfg = cfg or SamplerConfig(samples=TABLE_SAMPLES)
     rows = []
     for q in q_values:
         excluded = 0 < q < 1

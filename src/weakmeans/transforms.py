@@ -9,6 +9,7 @@ weakly monotone outer over shift-invariant inners) are weakly monotone.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -62,21 +63,13 @@ def phi_transform(
 
 
 def dual(A: Aggregator) -> Aggregator:
-    """Dual under standard negation: x -> 1 - A(1 - x); domain must be [0,1]."""
+    """Dual under standard negation: x -> 1 - A(1 - x); domain must be [0,1].
+
+    The phi-transform by the affine negation, which also keeps "monotone"."""
     if (A.domain.lo, A.domain.hi) != (0.0, 1.0):
         raise ValueError("dual requires domain [0, 1]")
-    known = set()
-    if implies_weakly_monotone(A.known):
-        known.add("weakly-monotone")
-    if "monotone" in A.known:
-        known.add("monotone")
-    return Aggregator(
-        fn=lambda x: 1.0 - A(1.0 - np.asarray(x, dtype=float)),
-        domain=Interval(0.0, 1.0),
-        arity=A.arity,
-        known=frozenset(known),
-        name=f"dual[{A.name}]",
-    )
+    D = phi_transform(A, lambda t: 1.0 - t, lambda t: 1.0 - t)
+    return replace(D, known=D.known | (A.known & {"monotone"}), name=f"dual[{A.name}]")
 
 
 def compose(A: Aggregator, B1: Aggregator, B2: Aggregator) -> Aggregator:

@@ -4,15 +4,18 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import weakmeans
-from weakmeans import GrayImage, read_pgm, write_pgm
-from weakmeans import cli
+from weakmeans import (FilterConfig, GrayImage, SamplerConfig, filter_image, named_aggregator,
+                       read_pgm, write_pgm)
+from weakmeans import cli, properties
 from weakmeans.cli import main
+from weakmeans.properties import CHECKS
 
 
 def run(capsys, *argv):
@@ -167,6 +170,46 @@ def test_table(capsys):
     assert "no-violation-found" in row_q1_n2
     row_q3 = next(l for l in lines if l.split()[:2] == ["3", "2"])
     assert "5" in row_q3  # bound 1+(4/2)^2
+
+
+def test_table_options_left_out_keep_the_library_defaults(capsys, monkeypatch):
+    used = []  # the config of every sampled row
+    check = properties.check_weak_monotonicity
+    monkeypatch.setattr(properties, "check_weak_monotonicity",
+                        lambda F, n, cfg: used.append(cfg) or check(F, n=n, cfg=cfg))
+    properties.lehmer_bound_table([2.0], 2)
+    cfg = replace(used.pop(), seed=3)  # the table's default config at seed 3
+    code, out, _ = run(capsys, "table", "--seed", "3", "--n-max", "3")
+    assert code == 0 and used and all(u == cfg for u in used)
+    rows = [line.split() for line in out.splitlines()[2:]]
+    expected = properties.lehmer_bound_table(list(dict.fromkeys(float(r[0]) for r in rows)), 3, cfg)
+    assert [(float(r[0]), int(r[1]), r[-1]) for r in rows] == [
+        (e["q"], e["n"], e["empirical"]) for e in expected]
+
+
+@pytest.mark.parametrize("prop", sorted(CHECKS))
+def test_check_options_left_out_keep_the_library_defaults(capsys, prop):
+    code, out, _ = run(capsys, "check", prop, "lehmer", "--q", "2", "--n", "3",
+                       "--samples", "300", "--format", "machine")
+    report = CHECKS[prop](named_aggregator("lehmer", q=2.0), n=3, cfg=SamplerConfig(samples=300))
+    assert code == int(report.violated)
+    assert _without_timing(out) == _without_timing(report.to_json() + "\n")
+
+
+def test_check_averaging_of_weights_whose_sum_overflows(capsys):
+    code, out, _ = run(capsys, "check", "averaging", "owa", "--weights", "1e308,1e308,1e308",
+                       "--samples", "2000")
+    assert code == 0 and "no-violation-found" in out
+
+
+def test_filter_options_left_out_keep_the_library_defaults(tmp_path, capsys):
+    img = GrayImage(pixels=np.random.default_rng(1).integers(0, 256, (8, 8)) / 255, maxval=255)
+    src, dst = tmp_path / "in.pgm", tmp_path / "out.pgm"
+    src.write_bytes(write_pgm(img))
+    code, _, _ = run(capsys, "filter", "--in", str(src), "--out", str(dst))
+    read = read_pgm(src.read_bytes())
+    expected = filter_image(read, FilterConfig(mode_quantize=1 / read.maxval))
+    assert code == 0 and dst.read_bytes() == write_pgm(expected)
 
 
 def test_filter_roundtrip(tmp_path, capsys):

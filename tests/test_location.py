@@ -113,6 +113,19 @@ def test_window_means_are_finite_at_the_float_range_end():
         assert big == pytest.approx(np.ldexp(np.mean(x), 1000), rel=1e-12)
 
 
+def test_half_sample_windows_longer_than_the_float_range():
+    # every window's length overflows; halved, the lengths 3.35e308 and
+    # 3.3e308 still pick the second window, [-1.6e308, 1.65e308, 1.7e308]
+    # (the oracle subtracts floats too, so the values are written out)
+    X = np.array([[-1.7e308, -1.6e308, 1.65e308, 1.7e308]])
+    assert lms(X[0]) == pytest.approx(5e306, rel=1e-12)
+    assert shorth(X[0]) == pytest.approx(1.75e308 / 3, rel=1e-12)
+    np.testing.assert_array_equal(lms_rows(X), [lms(X[0])])
+    np.testing.assert_array_equal(shorth_rows(X), [shorth(X[0])])
+    # here only the last window is finite, and it is the shortest
+    assert lms([-1.7e308, -1e308, 1.5e308, 1.6e308, 1.7e308]) == 1.6e308
+
+
 def test_one_distant_outlier_is_trimmed():
     # the outlier's sum of squares overflows; the other windows keep their
     # own scale, and under trimmed weights its residual takes no part

@@ -18,10 +18,12 @@ from weakmeans import (
     generalized_mixture_mean,
     order_statistic,
     owa,
+    owa_penalty_estimator,
     power_mean,
     quasi_arithmetic_mean,
 )
-from weakmeans.means import arithmetic_mean_rows, lehmer_mean_rows, median_rows, midrange_rows
+from weakmeans.means import (arithmetic_mean_rows, gini_mean_rows, lehmer_mean_rows, median_rows,
+                             midrange_rows, owa_rows, power_mean_rows)
 
 finite = st.floats(0.01, 10.0, allow_nan=False)
 vectors = st.lists(finite, min_size=1, max_size=8)
@@ -80,6 +82,22 @@ def test_non_finite_weights_are_refused(bad):
                  lambda: gini_mean(x, 1, 2, w), lambda: quasi_arithmetic_mean(x, np.log, math.exp, w)):
         with pytest.raises(ValueError, match="weights must be finite"):
             mean()
+
+
+def test_weights_whose_sum_overflows():
+    # 1e308 + 1e308 overflows, yet the weights are equal: each mean is the
+    # one under weights [1, 1], 1.5 (5/3 for Gini at p = q = 1)
+    x, big, ones = [1.0, 2.0], [1e308, 1e308], [1.0, 1.0]
+    for mean in (owa, lambda x, w: owa_rows([x], w)[0],
+                 lambda x, w: quasi_arithmetic_mean(x, lambda t: t, lambda t: t, w),
+                 lambda x, w: power_mean(x, 1, w), lambda x, w: power_mean_rows([x], 1, w)[0],
+                 owa_penalty_estimator):
+        assert mean(x, big) == mean(x, ones) == pytest.approx(1.5, rel=1e-15)
+    for mean in (gini_mean, lambda x, p, q, w: gini_mean_rows([x], p, q, w)[0]):
+        assert mean(x, 1, 1, big) == mean(x, 1, 1, ones) == pytest.approx(5 / 3, rel=1e-15)
+    # weight-function values alike
+    assert mixture_mean(x, lambda t: np.full_like(t, 1e308)) == 1.5
+    assert bajraktarevic_mean(x, [lambda t: 1e308] * 2, lambda t: t, lambda t: t) == 1.5
 
 
 def test_quasi_arithmetic_mean():

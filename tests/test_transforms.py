@@ -99,6 +99,9 @@ def test_dual_basic_cases():
     for _ in range(50):
         x = rng.uniform(0, 1, 4)
         assert d(x) == pytest.approx(arithmetic_mean(x), abs=1e-12)
+        assert d(x) == 1 - mean_unit(1 - x)
+    assert (d.known, d.arity, d.domain, d.name) == (
+        frozenset({"monotone", "weakly-monotone"}), None, UNIT, "dual[mean]")
     mx = Aggregator(lambda x: float(np.max(x)), domain=UNIT,
                     known=frozenset({"monotone"}), name="max")
     assert dual(mx)([0.2, 0.9]) == pytest.approx(0.2)
