@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .means import (_as_input, _as_rows, _check_positive, _check_weights, _mean, _midpoint,
-                    _scale_exponent)
+                    _working_scale)
 
 ArrayLike = Sequence[float] | np.ndarray
 
@@ -109,22 +109,20 @@ def lts(x: ArrayLike) -> float:
     In one dimension the optimal h-subset (h = floor(n/2)+1) is a contiguous
     block of the sorted data, so the block of minimal within-window sum of
     squares is found by exact enumeration; its mean is returned.  Ties go to
-    the smallest window start.
+    the smallest window start, within 1e-9 of the least sum relative to it
+    or to 1.  Computed at ``_working_scale`` of h.
     """
     xs = np.sort(_as_input(x))
-    windows = sliding_window_view(xs, xs.size // 2 + 1)
+    h = xs.size // 2 + 1
+    xs, e = _working_scale(xs, h)
+    windows = sliding_window_view(xs, h)
     means = _mean(windows)
     with np.errstate(over="ignore"):
         # centered, shift-stable; a sum that overflows is above every finite one
         sse = ((windows - means[:, None]) ** 2).sum(axis=-1)
-    unit = 1.0
-    if np.isinf(sse).all():
-        # compare them at a power-of-two scale, where none overflows
-        e = _scale_exponent(xs)
-        sse = ((np.ldexp(windows, -e) - np.ldexp(means, -e)[:, None]) ** 2).sum(axis=-1)
-        unit = np.ldexp(1.0, -2 * int(e[0]))  # 1 at the scale of x
+    floor = np.ldexp(1.0, -2 * e)  # 1 at the scale of x
     best = sse.min()
-    return float(means[np.argmax(sse <= best + 1e-9 * max(unit, best))])
+    return float(np.ldexp(means[np.argmax(sse <= best + 1e-9 * max(floor, best))], e))
 
 
 def owa_penalty(delta: ArrayLike) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -151,37 +149,21 @@ def owa_penalty_estimator(x: ArrayLike, delta: ArrayLike) -> float:
     d = _check_weights(delta, "OWA weights delta")
     if d.shape != x.shape:
         raise ValueError("delta must match the input length")
+    f = int(np.frexp(d.max())[1])
+    d = np.ldexp(d, -f)  # its largest in [0.5, 1)
+    # the values the last positive weight reaches set the working scale
+    k = int(np.flatnonzero(d)[-1]) + 1
+    x, e = _working_scale(x, k)
     # Segment boundaries: ordering of (x_i - y)^2 changes only at pairwise
     # midpoints (the data points are the i = j ones).  Within a segment the
     # objective is one strictly convex quadratic with vertex
     # sum(d_i x_sigma(i)) / sum(d), clipped to the segment for its minimum.
     bounds = np.unique(_midpoint(x[:, None], x[None, :]))
     if bounds.size == 1:
-        return float(bounds[0])
-    y, vals = _owa_segment_minima(x, d, bounds)
-    unit, e = 1.0, 0
-    if not (np.isfinite(y).all() and np.isfinite(vals).any()):
-        # at the float range end, solve at a power-of-two scale of x and of
-        # delta, where no vertex or penalty overflows
-        e, f = int(_scale_exponent(x)[0]), int(_scale_exponent(d)[0])
-        bounds = np.ldexp(bounds, -e)
-        y, vals = _owa_segment_minima(np.ldexp(x, -e), np.ldexp(d, -f), bounds)
-        unit = np.ldexp(1.0, -2 * e - f)  # 1 at the scale of x and delta
-    # Ties are decided between segment minima only: a vertex clipped to the
-    # right end of any segment but the last is no minimum (the next segment
-    # is lower there), so it cannot win a tie over a true minimum beside it.
-    vals[:-1][y[:-1] == bounds[1:-1]] = np.inf
-    best = float(vals.min())
-    return float(np.ldexp(y[int(np.argmax(vals <= best + 1e-12 * max(unit, best)))], e))
-
-
-def _owa_segment_minima(x: np.ndarray, d: np.ndarray, bounds: np.ndarray):
-    """The minimiser and minimum of the OWA penalty on each segment between
-    consecutive bounds.  A minimum that overflows is inf, above every finite
-    one; a zero weight takes no part, even where its residual overflows."""
-    centers = _midpoint(bounds[:-1], bounds[1:])
+        return float(np.ldexp(bounds[0], e))
     u = np.unique(x)
     with np.errstate(over="ignore", invalid="ignore"):
+        centers = _midpoint(bounds[:-1], bounds[1:])
         # per-segment residual-magnitude ordering of the data
         order = np.argsort(np.abs(x[None, :] - centers[:, None]), axis=1, kind="stable")
         # A segment far from the points, against their least spacing, may
@@ -192,26 +174,33 @@ def _owa_segment_minima(x: np.ndarray, d: np.ndarray, bounds: np.ndarray):
             r = x[None, :] - centers[far, None]
             order[far] = np.lexsort((np.where(r < 0, -x, x), np.abs(r)), axis=-1)
         xs = x[order]
+        del order
         y = np.clip((xs @ d) / d.sum(), bounds[:-1], bounds[1:])
-        vals = ((xs - y[:, None]) ** 2) @ d
-        # where a residual overflows, a zero weight still takes no part
-        nan = np.isnan(vals)
-        vals[nan] = np.where(d > 0, (xs[nan] - y[nan, None]) ** 2, 0.0) @ d
-    return y, vals
+        sq = np.square(np.subtract(xs, y[:, None], out=xs), out=xs)  # in place
+        sq[:, k:] = 0.0  # zero weights take no part, even where a residual overflows
+        vals = sq @ d
+        floor = np.ldexp(1.0, -2 * e - f)  # near-ties: 1 at the scale of x and delta
+    # A penalty that overflows is above every finite one; so is a NaN, from a
+    # vertex that overflows both ways or a zero weight on an overflowing
+    # residual, which a positive weight after it squares too.
+    vals[np.isnan(vals)] = np.inf
+    # Ties are decided between segment minima only: a vertex clipped to the
+    # right end of any segment but the last is no minimum (the next segment
+    # is lower there), so it cannot win a tie over a true minimum beside it.
+    vals[:-1][y[:-1] == bounds[1:-1]] = np.inf
+    best = float(vals.min())
+    return float(np.ldexp(y[int(np.argmax(vals <= best + 1e-12 * max(floor, best)))], e))
 
 
 def density_mean(x: ArrayLike) -> float:
     """Weighted mean with weights decaying in each point's mean squared
     distance m to the others through the Cauchy kernel 1 / (1 + m)."""
     x = _as_input(x)
-    # On xs = x / 2^e, inside (-1, 1), no squared distance overflows.  Powers
-    # of two commute with rounding, so r / (4^-e + m / 4^e), r a power of two
-    # putting the largest in (1, 2], is 1 / (1 + m) times r 4^e; the least
-    # subnormal bounds 4^-e, which then matters only when every m is 0.  The
-    # clip keeps the last rounding inside [min x, max x].
-    e = max(0, int(_scale_exponent(x)[0]))
-    xs = np.ldexp(x, -e)
+    # On xs = x / 2^e (``_working_scale``) powers of two commute with rounding:
+    # r / (4^-e + m / 4^e), r a power of two putting the largest in (1, 2], is
+    # 1 / (1 + m) times r 4^e.  The clip keeps the last rounding in [min x, max x].
+    xs, e = _working_scale(x, x.size)
     m = ((xs[:, None] - xs[None, :]) ** 2).mean(axis=1)  # m / 4^e
-    t = np.ldexp(1.0, -min(2 * e, 1074)) + m
+    t = np.ldexp(1.0, -2 * e) + m
     u = np.ldexp(1.0, int(np.frexp(t.min())[1])) / t
     return float(np.clip(np.ldexp(np.dot(u, xs) / u.sum(), e), x.min(), x.max()))

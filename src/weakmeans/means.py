@@ -117,6 +117,8 @@ def _midpoint(a, b):
     is finite, 0.5 * a + 0.5 * b where it overflows."""
     with np.errstate(over="ignore"):
         s = a + b
+    if np.isfinite(s).all():
+        return 0.5 * s
     return np.where(np.isfinite(s), 0.5 * s, 0.5 * a + 0.5 * b)
 
 
@@ -125,6 +127,20 @@ def _scale_exponent(X) -> np.ndarray:
     in [0.5, 1), kept as an (..., 1) column: no sum of squares over a row
     of X / 2^e overflows, and scaling by 2^e is exact away from subnormals."""
     return np.frexp(np.abs(X).max(axis=-1, keepdims=True))[1]
+
+
+def _working_scale(x: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """x / 2^e and e, for the least e >= 0 that puts the k values of x of
+    least range (the first such, in sorted order) below 2^500 in magnitude.
+    No sum of up to 2^20 squared differences among them overflows there, nor
+    their weighted sum; a sum that does overflow is above theirs.  With
+    k = x.size this is max |x| below 2^500."""
+    if np.abs(x).max() < 2.0**500:
+        return x, 0
+    xs = np.sort(x)
+    j = int(np.argmin(0.5 * xs[k - 1 :] - 0.5 * xs[: xs.size - k + 1]))
+    e = max(0, int(np.frexp(max(-xs[j], xs[j + k - 1]))[1]) - 500)
+    return np.ldexp(x, -e), e
 
 
 def _summable(w: np.ndarray) -> np.ndarray:

@@ -148,6 +148,17 @@ def test_one_distant_outlier_is_trimmed():
                 assert owa_penalty_estimator(np.append(x, far), d) == (far if abs(ref) == 1e6 else ref)
 
 
+def test_far_outliers_leave_small_values_at_their_own_scale():
+    # the working scale follows the tightest h values, not the outlier: at
+    # max |x| / 2^524 the squares of these would vanish or be subnormal
+    for x, h in (([0, 5e-5, 1e-4, 1.05e-4, 1.1e-4], 4), ([1e-300, 2e-300, 3e-300], 3)):
+        trimmed = [1.0] * h + [0.0] * (len(x) + 1 - h)
+        for far in (1e300, 1.7e308, -1.7e308):
+            assert lts(x + [far]) == lts(x + [1e3])
+            assert owa_penalty_estimator(x + [far], trimmed) == owa_penalty_estimator(x + [1e3], trimmed)
+    assert lts([1e-300, 2e-300, 3e-300, 1.7e308]) == 2e-300
+
+
 def test_one_value_is_its_own_estimate():
     for estimator in ESTIMATORS:
         assert estimator([3.5]) == 3.5
