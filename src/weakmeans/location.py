@@ -53,6 +53,14 @@ def mode_rows(X: ArrayLike) -> np.ndarray:
     return sorted_mode_rows(np.sort(_as_rows(X), axis=-1))
 
 
+def _tie_scale(lo, hi):
+    """The spread hi - lo of data in [lo, hi], or 2^-8 of their largest
+    magnitude where that is larger: a near-tie floor built on it scales with
+    the data, and stays put under a shift unless the data sit so far from 0
+    that it must cover the shift's rounding noise, 2^-52 of that magnitude."""
+    return np.maximum(hi - lo, np.maximum(-lo, hi) / 256)
+
+
 def _shortest_window(x: ArrayLike) -> tuple[np.ndarray, int, int]:
     """Sorted x, the start of its shortest half-sample window and the
     window's last offset."""
@@ -63,8 +71,10 @@ def _shortest_window(x: ArrayLike) -> tuple[np.ndarray, int, int]:
     # power of two commutes with rounding, so the choice is that of lengths
     length = 0.5 * xs[half:] - 0.5 * xs[: n - half]
     # near-ties (within fp noise of a uniform shift) resolve to the smallest
-    # start so the selection is stable under translation of quantized data
-    tol = 1e-9 * max(1.0, float(np.abs(xs).max()))
+    # start so the selection is stable under translation of quantized data:
+    # within 1e-9 max |x| where max |x| >= 1, else 1e-9 min(1, _tie_scale)
+    m = max(-xs[0], xs[-1])
+    tol = 1e-9 * (m if m >= 1 else min(1.0, _tie_scale(xs[0], xs[-1])))
     return xs, int(np.argmax(length <= length.min() + 0.5 * tol)), half
 
 
@@ -87,7 +97,10 @@ def _shortest_rows(X: ArrayLike) -> tuple[np.ndarray, np.ndarray, int]:
     n = xs.shape[-1]
     half, starts = n // 2, (n + 1) // 2
     length = 0.5 * xs[..., half : half + starts] - 0.5 * xs[..., :starts]  # halved
-    tol = 1e-9 * np.maximum(1.0, np.abs(xs).max(axis=-1, keepdims=True))
+    lo, hi = xs[..., :1], xs[..., -1:]
+    m = np.maximum(-lo, hi)
+    with np.errstate(over="ignore"):  # a spread that overflows is not taken
+        tol = 1e-9 * np.where(m >= 1, m, np.minimum(1.0, _tie_scale(lo, hi)))
     k = np.argmax(length <= length.min(axis=-1, keepdims=True) + 0.5 * tol, axis=-1)
     return xs, k[..., None], half
 
@@ -110,7 +123,8 @@ def lts(x: ArrayLike) -> float:
     block of the sorted data, so the block of minimal within-window sum of
     squares is found by exact enumeration; its mean is returned.  Ties go to
     the smallest window start, within 1e-9 of the least sum relative to it
-    or to 1.  Computed at ``_working_scale`` of h.
+    or to min(1, (max x - min x) * _tie_scale).  Computed at
+    ``_working_scale`` of h.
     """
     xs = np.sort(_as_input(x))
     h = xs.size // 2 + 1
@@ -120,7 +134,7 @@ def lts(x: ArrayLike) -> float:
     with np.errstate(over="ignore"):
         # centered, shift-stable; a sum that overflows is above every finite one
         sse = ((windows - means[:, None]) ** 2).sum(axis=-1)
-    floor = np.ldexp(1.0, -2 * e)  # 1 at the scale of x
+        floor = min(np.ldexp(1.0, -2 * e), (xs[-1] - xs[0]) * _tie_scale(xs[0], xs[-1]))
     best = sse.min()
     return float(np.ldexp(means[np.argmax(sse <= best + 1e-9 * max(floor, best))], e))
 
@@ -179,7 +193,9 @@ def owa_penalty_estimator(x: ArrayLike, delta: ArrayLike) -> float:
         sq = np.square(np.subtract(xs, y[:, None], out=xs), out=xs)  # in place
         sq[:, k:] = 0.0  # zero weights take no part, even where a residual overflows
         vals = sq @ d
-        floor = np.ldexp(1.0, -2 * e - f)  # near-ties: 1 at the scale of x and delta
+        # near-ties: relative to min(1, (max x - min x) _tie_scale sum(delta))
+        # at the scale of x and delta
+        floor = min(np.ldexp(1.0, -2 * e - f), (u[-1] - u[0]) * _tie_scale(u[0], u[-1]) * d.sum())
     # A penalty that overflows is above every finite one; so is a NaN, from a
     # vertex that overflows both ways or a zero weight on an overflowing
     # residual, which a positive weight after it squares too.

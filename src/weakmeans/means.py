@@ -164,6 +164,14 @@ def _mean(X):
     return np.where(np.isfinite(m), m, np.ldexp(np.ldexp(X, -e).mean(axis=-1), e[..., 0]))
 
 
+def _weighted_mean(w: np.ndarray, v: np.ndarray) -> float:
+    """sum w_i v_i / sum w_i for summable weights w, at ``_mean``'s scale of
+    v where the plain dot overflows."""
+    with np.errstate(over="ignore"):
+        e = 0 if np.isfinite(np.dot(w, v)) else int(_scale_exponent(v)[0])
+    return float(np.ldexp(np.dot(w, np.ldexp(v, -e)) / w.sum(), e))
+
+
 def _weighted_part(x: np.ndarray, weights: ArrayLike | None) -> tuple[np.ndarray, np.ndarray]:
     """Components with positive weight and their normalized weights; a
     zero-weight component takes no part, not even in the zero conventions."""
@@ -300,15 +308,14 @@ def bajraktarevic_mean(
     if len(weight_fns) != x.size:
         raise ValueError("one weight function per coordinate required")
     w = _summable(_check_weight_values([float(fn(v)) for fn, v in zip(weight_fns, x)]))
-    gx = np.asarray(g(x), dtype=float)
-    return _finite(float(g_inv(float(np.dot(w, gx)) / float(w.sum()))))
+    return _finite(float(g_inv(_weighted_mean(w, np.asarray(g(x), dtype=float)))))
 
 
 def mixture_mean(x: ArrayLike, w_fn: Callable[[np.ndarray], np.ndarray]) -> float:
     """sum w(x_i) x_i / sum w(x_i); invariant to scaling of w."""
     x = _as_input(x)
     w = _summable(_check_weight_values(w_fn(x)))
-    return _finite(float(np.dot(w, x)) / float(w.sum()))
+    return _finite(_weighted_mean(w, x))
 
 
 def generalized_mixture_mean(

@@ -427,29 +427,48 @@ def check_mixture_sufficient_condition(
     dw_fn: Callable[[float], float] | None = None,
 ) -> PropertyReport:
     """Check of the monotonicity sufficient condition w(t) >= w'(t) * (hi - t)
-    for a mixture weight function at 1001 evenly spaced points t.
+    for a mixture weight function at 1001 evenly spaced points t, within
+    1e-9 * max(1, |w'(t) * (hi - t)|).
+
+    Without ``dw_fn``, w'(t) is a three-point difference with step
+    eps = 1e-7 * max(1, hi - lo), central inside the interval and one-sided
+    at an end, and the tolerance grows by its rounding error times (hi - t):
+    2^-51 * max |w| / eps inside, 2.5 times that at an end (1.1e-8 * max |w|
+    * (hi - t) there for an interval no wider than 1).  An interval narrower
+    than 3 eps, or whose ends are so large that eps is under 2 ulp of them,
+    is then refused.
 
     A pass certifies (numerically) the sufficient condition only.  An
     unbounded interval, or a w(t) or w'(t) that is not finite, is refused.
     """
-    if not math.isfinite(interval.hi - interval.lo):
-        raise ValueError(f"the interval must be bounded, got [{interval.lo}, {interval.hi}]")
+    lo, hi = interval.lo, interval.hi
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"the interval must be bounded, got [{lo}, {hi}]")
+    eps = 1e-7 * max(1.0, hi - lo)
+    if dw_fn is None and (hi - lo < 3 * eps or eps < 2 * math.ulp(max(abs(lo), abs(hi)))):
+        raise ValueError(f"the interval [{lo}, {hi}] is too narrow for a difference of step "
+                         f"{eps}; give dw_fn")
     start = time.perf_counter()
-    ts = np.linspace(interval.lo, interval.hi, 1001)
-    eps = 1e-7 * max(1.0, interval.hi - interval.lo)
-    calls_per_point = 2 if dw_fn is not None else 3  # w and w', or w at t and t +- eps
+    ts = np.linspace(lo, hi, 1001)
+    calls_per_point = 2 if dw_fn is not None else 3  # w and w', or w at t and two points by t
     witness, used = None, 0
     for t in map(float, ts):
         used += 1
+        lhs, err = float(w_fn(t)), 0.0
         if dw_fn is not None:
             dw = float(dw_fn(t))
         else:
-            lo, hi = max(t - eps, interval.lo), min(t + eps, interval.hi)
-            dw = (float(w_fn(hi)) - float(w_fn(lo))) / (hi - lo)
-        lhs, rhs = float(w_fn(t)), dw * (interval.hi - t)
+            side = 1.0 if t - eps < lo else -1.0 if t + eps > hi else 0.0
+            a, b = (t - eps, t + eps) if side == 0 else (t + side * eps, t + 2 * side * eps)
+            c1, c2 = (b - t) / ((a - t) * (b - a)), (t - a) / ((b - t) * (b - a))
+            wa, wb = float(w_fn(a)), float(w_fn(b))
+            dw = c1 * (wa - lhs) + c2 * (wb - lhs)
+            # each difference of w values is off by at most 2^-51 of the largest
+            err = (abs(c1) + abs(c2)) * 2.0**-51 * max(abs(lhs), abs(wa), abs(wb))
+        rhs = dw * (hi - t)
         if not (math.isfinite(lhs) and math.isfinite(dw)):
             raise ValueError(f"w(t) = {lhs} or w'(t) = {dw} is not finite at t = {t}")
-        if lhs < rhs - 1e-9 * max(1.0, abs(rhs)):
+        if lhs < rhs - 1e-9 * max(1.0, abs(rhs)) - err * (hi - t):
             witness = {"t": t, "w": lhs, "dw_times_remaining": rhs}
             break
     verdict = "no-violation-found" if witness is None else "violated"

@@ -148,6 +148,22 @@ def test_one_distant_outlier_is_trimmed():
                 assert owa_penalty_estimator(np.append(x, far), d) == (far if abs(ref) == 1e6 else ref)
 
 
+def test_near_ties_scale_with_the_data():
+    # a near-tie floor at the data's own scale: the second window is shorter
+    assert lts([1e-6, 5e-6, 6e-6, 7e-6]) == pytest.approx(6e-6, rel=1e-12)
+    assert shorth([1e-10, 5e-10, 6e-10, 7e-10]) == pytest.approx(6e-10, rel=1e-12)
+    n = 7
+    forms = [lts, shorth, lms, lambda x: shorth_rows([x])[0], lambda x: lms_rows([x])[0],
+             lambda x: owa_penalty_estimator(x, [1.0] * (n // 2 + 1) + [0.0] * (n - n // 2 - 1)),
+             lambda x: owa_penalty_estimator(x, lms_delta(n))]
+    rng = np.random.default_rng(0)
+    for x in rng.standard_normal((40, n)):
+        for estimate in forms:
+            ref = estimate(x)
+            for s in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-20, 1e-50, 1e-100):
+                assert abs(estimate(s * x) - s * ref) <= 1e-9 * s
+
+
 def test_far_outliers_leave_small_values_at_their_own_scale():
     # the working scale follows the tightest h values, not the outlier: at
     # max |x| / 2^524 the squares of these would vanish or be subnormal
@@ -157,6 +173,25 @@ def test_far_outliers_leave_small_values_at_their_own_scale():
             assert lts(x + [far]) == lts(x + [1e3])
             assert owa_penalty_estimator(x + [far], trimmed) == owa_penalty_estimator(x + [1e3], trimmed)
     assert lts([1e-300, 2e-300, 3e-300, 1.7e308]) == 2e-300
+
+
+def test_near_ties_do_not_move_under_a_shift():
+    # the two windows' sums of squares differ by 1.2e-11: a floor that grew
+    # with max |x|^2 took them for a tie after a shift of 1e-6, not before
+    x = np.array([0.109538, 0.109542, 0.109543, 0.109544])
+    assert abs(lts(x + 1e-6) - 1e-6 - lts(x)) <= 1e-15
+    n = 7
+    forms = [lts, shorth, lms, lambda x: shorth_rows([x])[0], lambda x: lms_rows([x])[0],
+             lambda x: owa_penalty_estimator(x, [1.0] * (n // 2 + 1) + [0.0] * (n - n // 2 - 1)),
+             lambda x: owa_penalty_estimator(x, lms_delta(n))]
+    # 6-decimal data 1e4 times farther from 0 than their spread: windows and
+    # segments differ by little, and rounding noise makes exact ties unequal
+    rng = np.random.default_rng(5)
+    for x in 0.1 + np.round(rng.uniform(0, 1e-5, (100, n)), 6):
+        for estimate in forms:
+            ref = estimate(x)
+            for c in (1e-6, 1e-3, 0.1, 0.5):
+                assert abs(estimate(x + c) - c - ref) <= 1e-12
 
 
 def test_one_value_is_its_own_estimate():

@@ -98,6 +98,11 @@ def test_weights_whose_sum_overflows():
     # weight-function values alike
     assert mixture_mean(x, lambda t: np.full_like(t, 1e308)) == 1.5
     assert bajraktarevic_mean(x, [lambda t: 1e308] * 2, lambda t: t, lambda t: t) == 1.5
+    # sums of weighted values that overflow, where the mean is finite
+    big_x = [1e308, 1.5e308]
+    assert mixture_mean(big_x, lambda t: np.ones_like(t)) == 1.25e308
+    assert mixture_mean([1e10, 1e10], lambda t: np.full_like(t, 1e300)) == 1e10
+    assert bajraktarevic_mean(big_x, [lambda t: 1.0] * 2, lambda t: t, lambda t: t) == 1.25e308
 
 
 def test_quasi_arithmetic_mean():

@@ -203,6 +203,22 @@ def test_mixture_sufficient_condition():
         check_mixture_sufficient_condition(lambda t: 1.0, Interval(0.0, math.inf))
 
 
+def test_mixture_sufficient_condition_by_finite_differences():
+    # w = e^t meets the condition, with equality at t = 0: the one-sided
+    # difference there is second order, and the tolerance covers its rounding
+    r = check_mixture_sufficient_condition(math.exp, Interval(0.0, 1.0))
+    assert not r.violated and (r.samples_used, r.evaluations) == (1001, 3003)
+    r = check_mixture_sufficient_condition(lambda t: math.exp(1.001 * t), Interval(0.0, 1.0))
+    assert r.violated and r.witness["t"] == 0.0
+    # no difference fits a degenerate interval, nor one whose ends are large
+    # against its width (t + eps rounds near t); w' given, both are checked
+    for narrow in (Interval(2.0, 2.0), Interval(1e10, 1e10 + 1)):
+        with pytest.raises(ValueError, match=r"interval \[.*\] is too narrow"):
+            check_mixture_sufficient_condition(lambda t: 1.0, narrow)
+        r = check_mixture_sufficient_condition(lambda t: 1.0, narrow, dw_fn=lambda t: 0.0)
+        assert not r.violated and r.samples_used == 1001
+
+
 def test_lehmer_bound_table():
     cfg = SamplerConfig(samples=3000, seed=0)
     rows = lehmer_bound_table([1.0, 3.0, 0.5], n_max=5, cfg=cfg)
