@@ -156,10 +156,12 @@ def owa_penalty_estimator(x: ArrayLike, delta: ArrayLike) -> float:
     trimmed (1,..,1_h,0,..,0) -> LTS.  Leftmost minimiser convention.
 
     Each piecewise-quadratic segment (boundaries at all pairwise midpoints)
-    is solved analytically; ``minimize_penalty`` over ``owa_penalty`` is the
-    independent reference the tests compare it with.
+    is solved analytically; its residuals are ranked by the midpoints left
+    of it, never by their rounded magnitudes, so no tie-break is needed.
+    ``minimize_penalty`` over ``owa_penalty`` is the independent reference
+    the tests compare it with.
     """
-    x = _as_input(x)
+    x = np.sort(_as_input(x))
     d = _check_weights(delta, "OWA weights delta")
     if d.shape != x.shape:
         raise ValueError("delta must match the input length")
@@ -172,30 +174,27 @@ def owa_penalty_estimator(x: ArrayLike, delta: ArrayLike) -> float:
     # midpoints (the data points are the i = j ones).  Within a segment the
     # objective is one strictly convex quadratic with vertex
     # sum(d_i x_sigma(i)) / sum(d), clipped to the segment for its minimum.
-    bounds = np.unique(_midpoint(x[:, None], x[None, :]))
+    bounds, at = np.unique(_midpoint(x[:, None], x[None, :]), return_inverse=True)
     if bounds.size == 1:
         return float(np.ldexp(bounds[0], e))
-    u = np.unique(x)
+    # Residual ranks per segment, from the midpoints it has crossed: crossing
+    # that of x_i <= x_j (i < j) moves x_i one rank farther and x_j one nearer
+    i = np.arange(x.size)
+    rank = np.zeros((bounds.size, x.size), dtype=np.intp)
+    rank[0] = i
+    np.add.at(rank, (at.reshape(x.size, x.size), i[:, None]), np.sign(i - i[:, None]))
+    np.cumsum(rank, axis=0, out=rank)
+    xs = np.empty((bounds.size - 1, x.size))
+    xs[np.arange(bounds.size - 1)[:, None], rank[:-1]] = x
+    del rank
     with np.errstate(over="ignore", invalid="ignore"):
-        centers = _midpoint(bounds[:-1], bounds[1:])
-        # per-segment residual-magnitude ordering of the data
-        order = np.argsort(np.abs(x[None, :] - centers[:, None]), axis=1, kind="stable")
-        # A segment far from the points, against their least spacing, may
-        # round two residuals on one side of it to one magnitude; there the
-        # nearer point comes first, as it does at every point of the segment.
-        far = np.maximum(centers - u[0], u[-1] - centers) >= np.diff(u).min() * 2.0**50
-        if far.any():
-            r = x[None, :] - centers[far, None]
-            order[far] = np.lexsort((np.where(r < 0, -x, x), np.abs(r)), axis=-1)
-        xs = x[order]
-        del order
         y = np.clip((xs @ d) / d.sum(), bounds[:-1], bounds[1:])
         sq = np.square(np.subtract(xs, y[:, None], out=xs), out=xs)  # in place
         sq[:, k:] = 0.0  # zero weights take no part, even where a residual overflows
         vals = sq @ d
         # near-ties: relative to min(1, (max x - min x) _tie_scale sum(delta))
         # at the scale of x and delta
-        floor = min(np.ldexp(1.0, -2 * e - f), (u[-1] - u[0]) * _tie_scale(u[0], u[-1]) * d.sum())
+        floor = min(np.ldexp(1.0, -2 * e - f), (x[-1] - x[0]) * _tie_scale(x[0], x[-1]) * d.sum())
     # A penalty that overflows is above every finite one; so is a NaN, from a
     # vertex that overflows both ways or a zero weight on an overflowing
     # residual, which a positive weight after it squares too.
