@@ -186,7 +186,6 @@ def owa_penalty_estimator(x: ArrayLike, delta: ArrayLike) -> float:
     np.cumsum(rank, axis=0, out=rank)
     xs = np.empty((bounds.size - 1, x.size))
     xs[np.arange(bounds.size - 1)[:, None], rank[:-1]] = x
-    del rank
     with np.errstate(over="ignore", invalid="ignore"):
         y = np.clip((xs @ d) / d.sum(), bounds[:-1], bounds[1:])
         sq = np.square(np.subtract(xs, y[:, None], out=xs), out=xs)  # in place
@@ -215,6 +214,8 @@ def density_mean(x: ArrayLike) -> float:
     # r / (4^-e + m / 4^e), r a power of two putting the largest in (1, 2], is
     # 1 / (1 + m) times r 4^e.  The clip keeps the last rounding in [min x, max x].
     xs, e = _working_scale(x, x.size)
+    if e < 0:  # 4^-e would overflow, and 1 + m rounds to 1 anyway
+        xs, e = x, 0
     m = ((xs[:, None] - xs[None, :]) ** 2).mean(axis=1)  # m / 4^e
     t = np.ldexp(1.0, -2 * e) + m
     u = np.ldexp(1.0, int(np.frexp(t.min())[1])) / t

@@ -130,12 +130,18 @@ def _scale_exponent(X) -> np.ndarray:
 
 
 def _working_scale(x: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-    """x / 2^e and e, for the least e >= 0 that puts the k values of x of
-    least range (the first such, in sorted order) below 2^500 in magnitude.
-    No sum of up to 2^20 squared differences among them overflows there, nor
-    their weighted sum; a sum that does overflow is above theirs.  With
-    k = x.size this is max |x| below 2^500."""
-    if np.abs(x).max() < 2.0**500:
+    """x / 2^e and e.  Where max |x| < 2^-500, e puts it in [0.5, 1), so
+    squares of tiny data neither underflow nor overflow; elsewhere e is the
+    least e >= 0 that puts the k values of x of least range (the first such,
+    in sorted order) below 2^500 in magnitude.  No sum of up to 2^20 squared
+    differences among them overflows there, nor their weighted sum; a sum
+    that does overflow is above theirs.  With k = x.size this is max |x|
+    below 2^500."""
+    m = np.abs(x).max()
+    if m < 2.0**-500:
+        e = int(np.frexp(m)[1])
+        return np.ldexp(x, -e), e
+    if m < 2.0**500:
         return x, 0
     xs = np.sort(x)
     j = int(np.argmin(0.5 * xs[k - 1 :] - 0.5 * xs[: xs.size - k + 1]))

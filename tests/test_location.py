@@ -160,7 +160,7 @@ def test_near_ties_scale_with_the_data():
     for x in rng.standard_normal((40, n)):
         for estimate in forms:
             ref = estimate(x)
-            for s in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-20, 1e-50, 1e-100):
+            for s in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-20, 1e-50, 1e-100, 1e-160, 1e-200, 1e-300):
                 assert abs(estimate(s * x) - s * ref) <= 1e-9 * s
 
 
@@ -259,9 +259,14 @@ def lms_delta(n):
 
 def test_owa_special_case_equivalences():
     rng = np.random.default_rng(10)
-    for _ in range(300):
-        n = int(rng.integers(3, 10))
-        x = rng.uniform(0, 10, n)
+    random = [rng.uniform(0, 10, int(rng.integers(3, 10))) for _ in range(300)]
+    # several pairs crossing at one midpoint: evenly spaced data (0 + 9,
+    # 1 + 8, ... all at 4.5), duplicated values and a 1e-5 grid
+    crowded = [np.arange(10.0), np.arange(4.0) - 1.5, np.array([1.0, 1, 2, 2, 2, 5, 9, 9]),
+               np.array([3.0, 3, 3])]
+    crowded += [np.round(3 * rng.standard_normal(n)) * 1e-5 for n in range(3, 16)]
+    for x in random + crowded:
+        n = x.size
         h = n // 2 + 1
         assert owa_penalty_estimator(x, np.ones(n)) == pytest.approx(
             x.mean(), abs=1e-12
