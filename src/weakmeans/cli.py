@@ -105,12 +105,14 @@ def _add_mean_params(p: argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process and shared by every `main`
     call: `parse_args` returns a fresh namespace each time, and `main` never
-    changes the parser, so no state carries over from one call to the next."""
+    changes the parser, so no state carries over from one call to the next.
+    Its `commands` default maps each command to the command's own parser."""
     parser = argparse.ArgumentParser(
         prog="weakmeans",
         description="Weakly monotone averaging functions and their verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.set_defaults(commands=sub.choices)
 
     p = sub.add_parser("aggregate", help="evaluate a mean on values")
     p.add_argument("name")
@@ -173,8 +175,17 @@ def main(argv=None) -> int:
             joined[-1] += "=" + token
         else:
             joined.append(token)
+    # A known command goes straight to its own parser, which reads each token
+    # once; the top-level parser serves help, errors and leftover tokens,
+    # with its own usage line in the message.
+    commands = parser.get_default("commands")
     try:
-        args = parser.parse_args(joined)
+        if joined and joined[0] in commands:
+            args, extra = commands[joined[0]].parse_known_args(joined[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        else:
+            args = parser.parse_args(joined)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if trailing:

@@ -178,12 +178,13 @@ def owa_penalty_estimator(x: ArrayLike, delta: ArrayLike) -> float:
     if bounds.size == 1:
         return float(np.ldexp(bounds[0], e))
     # Residual ranks per segment, from the midpoints it has crossed: crossing
-    # that of x_i <= x_j (i < j) moves x_i one rank farther and x_j one nearer
+    # that of x_i <= x_j (i < j) moves x_i one rank farther and x_j one nearer;
+    # ranks and the moves at one midpoint are within +-n, held in the least type
     i = np.arange(x.size)
-    rank = np.zeros((bounds.size, x.size), dtype=np.intp)
+    rank = np.zeros((bounds.size, x.size), dtype=np.min_scalar_type(-x.size))
     rank[0] = i
     np.add.at(rank, (at.reshape(x.size, x.size), i[:, None]), np.sign(i - i[:, None]))
-    np.cumsum(rank, axis=0, out=rank)
+    np.cumsum(rank, axis=0, dtype=rank.dtype, out=rank)
     xs = np.empty((bounds.size - 1, x.size))
     xs[np.arange(bounds.size - 1)[:, None], rank[:-1]] = x
     with np.errstate(over="ignore", invalid="ignore"):

@@ -51,7 +51,7 @@ def _as_rows(X: ArrayLike) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim < 1 or X.shape[-1] < 1:
         raise ValueError("input must be non-empty")
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError("input values must be finite")
     return X
 
@@ -64,7 +64,7 @@ def _finite(value: float) -> float:
 
 
 def _require_nonnegative(x: np.ndarray) -> np.ndarray:
-    if np.any(x < 0):
+    if (x < 0).any():
         raise ValueError("negative components are outside the [0, inf) domain")
     return x
 

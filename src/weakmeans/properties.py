@@ -36,7 +36,9 @@ class Aggregator:
     rows: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x) -> float:
-        return float(self.fn(np.asarray(x, dtype=float)))
+        # a row of a column-major block is strided, and a strided dot may
+        # round otherwise: fn sees every vector contiguous
+        return float(self.fn(np.asarray(x, dtype=float, order="C")))
 
 
 class _Named(NamedTuple):
@@ -218,15 +220,19 @@ def _falsify(prop: str, F: Aggregator, n: int | None, cfg: SamplerConfig, fields
     Sample i (1-based) is the i-th probe point while any remain; drawn
     sample k is row k of the seed's stream of uniform rows, whatever the
     chunking or the budget.  A row has the 3n + 3 columns ``_sample_x``
-    maps, then ``extra`` more.  The rows come in blocks of 8, 64, 512, ...
-    of at most ``_CHUNK_ELEMENTS`` uniforms, and ``draw(U, n, box, i)`` maps
-    a block U of the sample numbers i to one array per name in ``fields``
-    with a first axis of len(U).
+    maps, then ``extra`` more.  Blocks hold at most ``_CHUNK_ELEMENTS``
+    uniforms: a budget that fits is drawn as one block, a larger one in
+    blocks of 8, 64, 512, ... rows, so that an early witness stays cheap.
+    Each block is copied to column-major order (the copy keeps the
+    stream), so reductions over a row's few columns run over contiguous
+    memory.  ``draw(U, n, box, i)`` maps a block U of the sample numbers i
+    to one array per name in ``fields`` with a first axis of len(U).
     ``test(G, *case)`` returns the violation flags and the values behind
     them; ``G(*points)`` evaluates F at each point, at a vector by F itself
-    and at every row of stacked arrays by one ``F.rows`` call (or else F
-    per row).  Samples that ``keep(*case)`` rejects (nothing left to test
-    after clipping to the domain) and probes of another arity are skipped.
+    and at every row of stacked arrays by one ``F.rows`` call on one
+    column-major block (or else F per row).  Samples that ``keep(*case)``
+    rejects (nothing left to test after clipping to the domain) and probes
+    of another arity are skipped.
     The first flagged sample that F confirms on its own is the witness.
     """
     start = time.perf_counter()
@@ -242,10 +248,10 @@ def _falsify(prop: str, F: Aggregator, n: int | None, cfg: SamplerConfig, fields
         if points[0].ndim == 1:
             evaluations += len(points)
             return [np.float64(F(x)) for x in points]
-        X = np.concatenate(points) if len(points) > 1 else points[0]
+        m = len(points[0])
+        X = np.concatenate(points, out=np.empty((len(points) * m, n), order="F"))
         evaluations += len(X)
         values = np.asarray(F.rows(X) if F.rows else [F(v) for v in X], dtype=float)
-        m = len(points[0])
         return [values[k * m : (k + 1) * m] for k in range(len(points))]
 
     def witness(case: tuple) -> dict | None:
@@ -266,10 +272,12 @@ def _falsify(prop: str, F: Aggregator, n: int | None, cfg: SamplerConfig, fields
             return report(found, used)
     cols = 3 * n + 3 + extra
     cap = max(1, _CHUNK_ELEMENTS // cols)
-    used, size = len(probes), min(_FIRST_CHUNK, cap)
+    used = len(probes)
+    size = cap if budget - used <= cap else min(_FIRST_CHUNK, cap)
     while used < budget:
         m = min(size, budget - used)
-        case = draw(rng.random((m, cols)), n, box, np.arange(used + 1, used + m + 1))
+        U = np.asfortranarray(rng.random((m, cols)))
+        case = draw(U, n, box, np.arange(used + 1, used + m + 1))
         kept = np.ones(m, dtype=bool) if keep is None else keep(*case)
         bad = test(G, *(case if kept.all() else (v[kept] for v in case)))[0]
         for i in np.flatnonzero(kept)[bad].tolist():

@@ -274,6 +274,42 @@ def test_usage_error_exit_code(capsys):
         assert code == 2 and out == "" and message in err
 
 
+TOP_USAGE = "usage: weakmeans [-h] {aggregate,check,table,filter} ...\n"
+CHECK_USAGE = """\
+usage: weakmeans check [-h] [--q Q] [--p P] [--weights WEIGHTS] [--n N]
+                       [--samples SAMPLES] [--seed SEED] [--tol TOL]
+                       [--shift-max SHIFT_MAX] [--format {text,machine}]
+                       {averaging,homogeneous,idempotent,internal,monotone,shift-invariant,weakly-monotone}
+                       name
+"""
+AGGREGATE_USAGE = """\
+usage: weakmeans aggregate [-h] [--q Q] [--p P] [--weights WEIGHTS]
+                           [--file FILE]
+                           name [values ...]
+"""
+
+
+@pytest.mark.parametrize("argv, err", [
+    # tokens a command's parser leaves over are reported by the top-level parser
+    (("check", "weakly-monotone", "lehmer", "--q", "2", "extra"),
+     TOP_USAGE + "weakmeans: error: unrecognized arguments: extra\n"),
+    (("check", "weakly-monotone", "lehmer", "--q", "2", "--bogus", "1"),
+     TOP_USAGE + "weakmeans: error: unrecognized arguments: --bogus 1\n"),
+    (("frobnicate",),
+     TOP_USAGE + "weakmeans: error: argument command: invalid choice: 'frobnicate' "
+                 "(choose from 'aggregate', 'check', 'table', 'filter')\n"),
+    # a command's own errors carry its own usage
+    (("check",),
+     CHECK_USAGE + "weakmeans check: error: the following arguments are required: property, name\n"),
+    (("aggregate", "--q", "1"),
+     AGGREGATE_USAGE + "weakmeans aggregate: error: the following arguments are required: "
+                       "name, values\n"),
+])
+def test_parse_errors_keep_their_messages(capsys, monkeypatch, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")  # usage wraps at the terminal width
+    assert run(capsys, *argv) == (2, "", err)
+
+
 @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-1e5"])
 @pytest.mark.parametrize("name, flag", [("lehmer", "--q"), ("power", "--p")])
 def test_negative_exponent_in_the_usual_form(capsys, name, flag, value):

@@ -303,6 +303,14 @@ def test_named_aggregator_looks_functions_up_at_call_time(monkeypatch):
     assert F([1.0, 2.0]) == -1.0
 
 
+def test_aggregator_sees_a_strided_row_as_a_contiguous_one():
+    # the falsifier evaluates rows of column-major blocks through F, and
+    # density_mean's dot rounds otherwise on a strided vector
+    F = named_aggregator("density")
+    B = np.asfortranarray(np.random.default_rng(0).normal(size=(50, 9)))
+    assert [F(v) for v in B] == [F(v.copy()) for v in B]
+
+
 def test_report_serialization_roundtrip():
     report = check_weak_monotonicity(named_aggregator("lehmer", q=1.0), n=3, cfg=FAST)
     data = report.to_dict()
@@ -446,19 +454,39 @@ def test_chunking_does_not_change_the_report(monkeypatch, first, elements):
 
 @pytest.mark.parametrize("name", sorted(k for k, v in AGGREGATORS.items() if v.rows))
 def test_stacked_rows_equal_separate_calls(name):
-    """The paired checks evaluate both points of a sample in one rows call."""
-    for n in (1, 2, 3, 5, 8):
+    """The paired checks evaluate both points of a sample in one rows call,
+    on a column-major block."""
+    for n in (1, 2, 3, 5, 7, 8, 12, 16):
         X = _row_cases(n, AGGREGATORS[name].domain.lo == 0)
         Y = X[::-1] * 1.5
         for params in _row_params(name, n):
             F = named_aggregator(name, **params)
+            expected, msg = F.rows(X), f"{name} {params} n={n}"
             np.testing.assert_array_equal(F.rows(np.concatenate([X, Y])),
-                                          np.concatenate([F.rows(X), F.rows(Y)]),
-                                          err_msg=f"{name} {params} n={n}")
+                                          np.concatenate([expected, F.rows(Y)]), err_msg=msg)
+            got = F.rows(np.asfortranarray(X))
+            if n <= 7:
+                np.testing.assert_array_equal(got, expected, err_msg=msg)
+            else:
+                # C-ordered sums of 8 or more terms go pairwise, column-major
+                # ones in order: a signed mean can cancel, and a geometric
+                # one (p = 0) sums logarithms of up to 345 in magnitude
+                scale = np.maximum(np.abs(expected), np.abs(X).max(axis=-1))
+                assert (np.abs(got - expected) <= 1e-12 * scale).all(), msg
 
 
 def test_early_exit_stops_in_the_first_chunk():
-    report = check_shift_invariance(named_aggregator("lehmer", q=1.0), n=2, cfg=FAST)
+    # 20 000 samples at n = 2 are more than one block (13 107 rows) holds
+    cfg = SamplerConfig(samples=20_000, seed=0)
+    report = check_shift_invariance(named_aggregator("lehmer", q=1.0), n=2, cfg=cfg)
     assert report.violated and report.samples_used <= 8
     assert report.evaluations == 2 * 8 + 2  # the first chunk, then the witness through F
     assert report.elapsed_s > 0
+
+
+def test_a_budget_that_fits_one_block_is_drawn_as_one():
+    F = named_aggregator("lehmer", q=1.0)
+    one = check_shift_invariance(F, n=2, cfg=FAST)
+    chunked = check_shift_invariance(F, n=2, cfg=SamplerConfig(samples=20_000, seed=0))
+    assert one.evaluations == 2 * FAST.samples + 2  # the whole block, then the witness
+    assert (one.witness, one.samples_used) == (chunked.witness, chunked.samples_used)
