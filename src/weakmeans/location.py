@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .means import (_as_input, _as_rows, _check_positive, _check_weights, _mean, _midpoint,
+from .means import (_as_input, _as_row, _as_rows, _check_positive, _check_weights, _mean, _midpoint,
                     _working_scale)
 
 ArrayLike = Sequence[float] | np.ndarray
@@ -35,18 +35,19 @@ def mode(x: ArrayLike, quantize: float | None = None) -> float:
             snapped = np.round(v / quantize) * quantize
         # a value too large to snap is already on the grid at its own scale
         v = np.where(np.isfinite(snapped), snapped, v)
-    values, counts = np.unique(v, return_counts=True)
-    return float(values[np.argmax(counts)])  # first max = smallest value
+    return float(sorted_mode_rows(np.sort(v)))
 
 
 def sorted_mode_rows(S: np.ndarray) -> np.ndarray:
     """Smallest most frequent value of every row of S, each sorted: the
-    first position that ends a longest run of equal values lies in it."""
+    first value of the first longest run of equal values (of 0.0 and -0.0
+    in one run, the one sorted first)."""
     j = np.arange(S.shape[-1])
     starts = np.ones(S.shape, dtype=bool)
     starts[..., 1:] = S[..., 1:] != S[..., :-1]
-    run = j - np.maximum.accumulate(np.where(starts, j, 0), axis=-1)
-    return np.take_along_axis(S, np.argmax(run, axis=-1)[..., None], axis=-1)[..., 0]
+    first = np.maximum.accumulate(np.where(starts, j, 0), axis=-1)  # where each run starts
+    end = np.argmax(j - first, axis=-1)[..., None]  # the first end of a longest run
+    return np.take_along_axis(S, np.take_along_axis(first, end, axis=-1), axis=-1)[..., 0]
 
 
 def mode_rows(X: ArrayLike) -> np.ndarray:
@@ -61,42 +62,18 @@ def _tie_scale(lo, hi):
     return np.maximum(hi - lo, np.maximum(-lo, hi) / 256)
 
 
-def _shortest_window(x: ArrayLike) -> tuple[np.ndarray, int, int]:
-    """Sorted x, the start of its shortest half-sample window and the
-    window's last offset."""
-    xs = np.sort(_as_input(x))
-    n = xs.size
-    half = n // 2
+def _shortest_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Row-sorted X, the start of each row's shortest half-sample window and
+    the window's last offset."""
+    xs = np.sort(X, axis=-1)
+    n = xs.shape[-1]
+    half, starts = n // 2, (n + 1) // 2
     # half of each window's length, finite where the length overflows; a
     # power of two commutes with rounding, so the choice is that of lengths
-    length = 0.5 * xs[half:] - 0.5 * xs[: n - half]
+    length = 0.5 * xs[..., half : half + starts] - 0.5 * xs[..., :starts]
     # near-ties (within fp noise of a uniform shift) resolve to the smallest
     # start so the selection is stable under translation of quantized data:
     # within 1e-9 max |x| where max |x| >= 1, else 1e-9 min(1, _tie_scale)
-    m = max(-xs[0], xs[-1])
-    tol = 1e-9 * (m if m >= 1 else min(1.0, _tie_scale(xs[0], xs[-1])))
-    return xs, int(np.argmax(length <= length.min() + 0.5 * tol)), half
-
-
-def shorth(x: ArrayLike) -> float:
-    """Arithmetic mean of the shortest half-sample window."""
-    xs, k, half = _shortest_window(x)
-    return float(_mean(xs[k : k + half + 1]))
-
-
-def lms(x: ArrayLike) -> float:
-    """Least median of squares: midpoint of the shortest half-sample window."""
-    xs, k, half = _shortest_window(x)
-    return float(_midpoint(xs[k], xs[k + half]))
-
-
-def _shortest_rows(X: ArrayLike) -> tuple[np.ndarray, np.ndarray, int]:
-    """Row-sorted X, the start of each row's shortest half-sample window by
-    ``_shortest_window``'s near-tie rule, and the window's last offset."""
-    xs = np.sort(_as_rows(X), axis=-1)
-    n = xs.shape[-1]
-    half, starts = n // 2, (n + 1) // 2
-    length = 0.5 * xs[..., half : half + starts] - 0.5 * xs[..., :starts]  # halved
     lo, hi = xs[..., :1], xs[..., -1:]
     m = np.maximum(-lo, hi)
     with np.errstate(over="ignore"):  # a spread that overflows is not taken
@@ -105,12 +82,30 @@ def _shortest_rows(X: ArrayLike) -> tuple[np.ndarray, np.ndarray, int]:
     return xs, k[..., None], half
 
 
+def shorth(x: ArrayLike) -> float:
+    """Arithmetic mean of the shortest half-sample window."""
+    return float(_shorth(_as_row(x))[0])
+
+
 def shorth_rows(X: ArrayLike) -> np.ndarray:
+    return _shorth(_as_rows(X))
+
+
+def _shorth(X: np.ndarray) -> np.ndarray:
     xs, k, half = _shortest_rows(X)
     return _mean(np.take_along_axis(xs, k + np.arange(half + 1), axis=-1))
 
 
+def lms(x: ArrayLike) -> float:
+    """Least median of squares: midpoint of the shortest half-sample window."""
+    return float(_lms(_as_row(x))[0])
+
+
 def lms_rows(X: ArrayLike) -> np.ndarray:
+    return _lms(_as_rows(X))
+
+
+def _lms(X: np.ndarray) -> np.ndarray:
     xs, k, half = _shortest_rows(X)
     ends = np.take_along_axis(xs, np.concatenate([k, k + half], axis=-1), axis=-1)
     return _midpoint(ends[..., 0], ends[..., 1])

@@ -47,6 +47,12 @@ def _as_input(x: ArrayLike) -> np.ndarray:
     return _as_rows(x)
 
 
+def _as_row(x: ArrayLike) -> np.ndarray:
+    """The 1-d vector x as a (1, n) block: a scalar function is a one-row
+    call of its row kernel."""
+    return _as_input(x)[None]
+
+
 def _as_rows(X: ArrayLike) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim < 1 or X.shape[-1] < 1:
@@ -178,14 +184,6 @@ def _weighted_mean(w: np.ndarray, v: np.ndarray) -> float:
     return float(np.ldexp(np.dot(w, np.ldexp(v, -e)) / w.sum(), e))
 
 
-def _weighted_part(x: np.ndarray, weights: ArrayLike | None) -> tuple[np.ndarray, np.ndarray]:
-    """Components with positive weight and their normalized weights; a
-    zero-weight component takes no part, not even in the zero conventions."""
-    w = _norm_weights(weights, x.size)
-    keep = w > 0
-    return x[keep], w[keep]
-
-
 def arithmetic_mean(x: ArrayLike) -> float:
     return float(_mean(_as_input(x)))
 
@@ -200,24 +198,20 @@ def power_mean(x: ArrayLike, p: float, weights: ArrayLike | None = None) -> floa
     p=0 is the weighted geometric mean (log-generator limit), p=+/-inf the
     max/min.  Inputs must be non-negative; a zero component with positive
     weight absorbs the mean to 0 for p <= 0.  Zero-weight components are
-    ignored.
+    ignored, even in the zero conventions.
     """
+    return float(_power(_as_row, x, p, weights)[0])
+
+
+def power_mean_rows(X: ArrayLike, p: float, weights: ArrayLike | None = None) -> np.ndarray:
+    return _power(_as_rows, X, p, weights)
+
+
+def _power(check, X, p, weights):
+    """``power_mean`` of every row of X, which ``check`` validates."""
     _check_exponent(p, "p")
-    x, w = _weighted_part(_require_nonnegative(_as_input(x)), weights)
-    if math.isinf(p):
-        return float(x.max()) if p > 0 else float(x.min())
-    if p == 0:
-        if np.any(x == 0):
-            return 0.0
-        return float(np.exp(np.dot(w, np.log(x))))
-    if p < 0 and np.any(x == 0):
-        return 0.0
-    # homogeneity: rescale by the component that dominates x^p, so that no
-    # power overflows or underflows to a zero sum
-    c = x.max() if p > 0 else x.min()
-    if c == 0:
-        return 0.0  # all-zero input, idempotency
-    return float(c * np.dot(w, (x / c) ** p) ** (1.0 / p))
+    X = _require_nonnegative(check(X))
+    return _power_rows(X, p, _norm_weights(weights, X.shape[-1]))
 
 
 def _dominant(X: np.ndarray, part: np.ndarray, e: float) -> np.ndarray:
@@ -230,7 +224,9 @@ def _dominant(X: np.ndarray, part: np.ndarray, e: float) -> np.ndarray:
 
 def _power_rows(X: np.ndarray, p: float, W: np.ndarray) -> np.ndarray:
     """``power_mean`` of every row of X under normalized weights W (of a
-    shape that broadcasts to X's); a component of weight 0 takes no part."""
+    shape that broadcasts to X's); a component of weight 0 takes no part.
+    Homogeneity: a row is rescaled by the component c that dominates x^p,
+    so that no power overflows or underflows to a zero sum."""
     part = W > 0
     c = _dominant(X, part, p)
     if math.isinf(p):
@@ -239,15 +235,9 @@ def _power_rows(X: np.ndarray, p: float, W: np.ndarray) -> np.ndarray:
         logs = np.log(np.where(part & (X > 0), X, 1.0))
         return np.where(c[..., 0] > 0, np.exp((W * logs).sum(axis=-1)), 0.0)
     # c = 0 only for an all-zero row, or (p < 0) a zero with positive
-    # weight, which absorbs: both give 0
+    # weight, which absorbs: both give +0, also where that zero is -0.0
     Y = np.divide(X, c, out=np.ones_like(X), where=part & (c > 0))
-    return c[..., 0] * (W * Y**p).sum(axis=-1) ** (1.0 / p)
-
-
-def power_mean_rows(X: ArrayLike, p: float, weights: ArrayLike | None = None) -> np.ndarray:
-    _check_exponent(p, "p")
-    X = _require_nonnegative(_as_rows(X))
-    return _power_rows(X, p, _norm_weights(weights, X.shape[-1]))
+    return (c[..., 0] + 0.0) * (W * Y**p).sum(axis=-1) ** (1.0 / p)
 
 
 def quasi_arithmetic_mean(
@@ -265,14 +255,14 @@ def quasi_arithmetic_mean(
 
 def owa(x: ArrayLike, weights: ArrayLike) -> float:
     """Ordered weighted average: weights applied to x sorted non-increasing."""
-    x = _as_input(x)
-    w = _norm_weights(weights, x.size)
-    return float((w * np.sort(x)[::-1]).sum())
+    return float(_owa(_as_row(x), weights)[0])
 
 
 def owa_rows(X: ArrayLike, weights: ArrayLike) -> np.ndarray:
-    X = _as_rows(X)
-    # the scalar form's products and summation order: signed values cancel
+    return _owa(_as_rows(X), weights)
+
+
+def _owa(X: np.ndarray, weights: ArrayLike) -> np.ndarray:
     return (_norm_weights(weights, X.shape[-1]) * np.sort(X, axis=-1)[..., ::-1]).sum(axis=-1)
 
 
@@ -287,16 +277,15 @@ def order_statistic(x: ArrayLike, k: int) -> float:
 def median(x: ArrayLike) -> float:
     """Middle order statistic; even n averages the two middle values
     (``order_statistic`` gives the lower and the upper one)."""
-    x = np.sort(_as_input(x))
-    n = x.size
-    if n % 2 == 1:
-        return float(x[n // 2])
-    return float(_midpoint(x[n // 2 - 1], x[n // 2]))
+    return float(_median(_as_row(x))[0])
 
 
 def median_rows(X: ArrayLike) -> np.ndarray:
-    """``median`` of every row."""
-    s = np.sort(_as_rows(X), axis=-1)
+    return _median(_as_rows(X))
+
+
+def _median(X: np.ndarray) -> np.ndarray:
+    s = np.sort(X, axis=-1)
     n = s.shape[-1]
     if n % 2 == 1:
         return s[..., n // 2]
@@ -340,31 +329,22 @@ def gini_mean(
     follow the same limit conventions as the Lehmer mean: dropped for q>0,
     absorbing for q<0.  Zero-weight components are ignored.
     """
-    _check_exponent(p, "p")
-    _check_exponent(q, "q")
-    x, w = _weighted_part(_require_nonnegative(_as_input(x)), weights)
-    if q == 0:
-        return power_mean(x, p, w)
-    if q < 0:
-        if np.any(x == 0):
-            return 0.0
-    else:
-        keep = x > 0
-        if not np.any(keep):
-            return 0.0  # all-zero input, idempotency
-        x, w = x[keep], w[keep]
-    # the power mean of order p under weights w x^q, rescaled by the
-    # component that dominates x^q so that the weights stay finite
-    c = x.max() if q > 0 else x.min()
-    return power_mean(x, p, w * (x / c) ** q)
+    return float(_gini(_as_row, x, p, q, weights)[0])
 
 
 def gini_mean_rows(
     X: ArrayLike, p: float, q: float, weights: ArrayLike | None = None
 ) -> np.ndarray:
+    return _gini(_as_rows, X, p, q, weights)
+
+
+def _gini(check, X, p, q, weights):
+    """``gini_mean`` of every row of X, which ``check`` validates: the power
+    mean of order p under weights w x^q, rescaled by the component that
+    dominates x^q so that the weights stay finite."""
     _check_exponent(p, "p")
     _check_exponent(q, "q")
-    X = _require_nonnegative(_as_rows(X))
+    X = _require_nonnegative(check(X))
     w = _norm_weights(weights, X.shape[-1])
     if q == 0:
         return _power_rows(X, p, w)
@@ -382,35 +362,27 @@ def lehmer_mean(x: ArrayLike, q: float) -> float:
     Zero components are handled as limits: neutral for q>0, absorbing for
     q<0; q=0 is the arithmetic mean.
     """
-    _check_exponent(q, "q")
-    x = _require_nonnegative(_as_input(x))
-    if q == 0:
-        return float(_mean(x))
-    if q < 0:
-        if np.any(x == 0):
-            return 0.0
-    else:
-        x = x[x > 0]
-        if x.size == 0:
-            return 0.0
-    # homogeneity: rescale by the component that dominates x^q
-    c = x.max() if q > 0 else x.min()
-    y = x / c
-    yq = y**q
-    return float(c * (yq.dot(y) / yq.sum()))
+    return float(_lehmer(_as_row, x, q)[0])
 
 
 def lehmer_mean_rows(X: ArrayLike, q: float) -> np.ndarray:
+    return _lehmer(_as_rows, X, q)
+
+
+def _lehmer(check, X, q):
+    """``lehmer_mean`` of every row of X, which ``check`` validates.
+    Homogeneity: a row is rescaled by the component c that dominates x^q."""
     _check_exponent(q, "q")
-    X = _require_nonnegative(_as_rows(X))
+    X = _require_nonnegative(check(X))
     if q == 0:
         return _mean(X)
     c = X.max(axis=-1, keepdims=True) if q > 0 else X.min(axis=-1, keepdims=True)
     # c = 0 only for an all-zero row, or (q < 0) an absorbing zero: both
-    # give 0.  For q > 0 a zero adds 0**q = 0 to both sums, which drops it.
+    # give +0, also where that zero is -0.0.  For q > 0 a zero adds
+    # 0**q = 0 to both sums, which drops it.
     y = np.divide(X, c, out=np.ones_like(X), where=c > 0)
     yq = y**q
-    return c[..., 0] * ((yq * y).sum(axis=-1) / yq.sum(axis=-1))
+    return (c[..., 0] + 0.0) * ((yq * y).sum(axis=-1) / yq.sum(axis=-1))
 
 
 def lehmer_max_args(q: float) -> float:
@@ -438,10 +410,12 @@ def contraharmonic_mean(x: ArrayLike) -> float:
 
 
 def midrange(x: ArrayLike) -> float:
-    x = _as_input(x)
-    return float(_midpoint(x.min(), x.max()))
+    return float(_midrange(_as_row(x))[0])
 
 
 def midrange_rows(X: ArrayLike) -> np.ndarray:
-    X = _as_rows(X)
+    return _midrange(_as_rows(X))
+
+
+def _midrange(X: np.ndarray) -> np.ndarray:
     return _midpoint(X.min(axis=-1), X.max(axis=-1))

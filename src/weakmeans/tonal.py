@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import location
-from .means import _check_positive, median, median_rows
+from .means import _as_row, _check_positive, median_rows
 from .pgm import GrayImage
 
 TONAL_KERNELS = ("gaussian", "cauchy")
@@ -86,26 +86,20 @@ class FilterConfig:
 
 
 def center_estimate(window: np.ndarray, center_value: float, cfg: FilterConfig) -> float:
-    if cfg.estimator == "center":
-        return float(center_value)
-    if cfg.estimator == "median":
-        return median(window)
-    if cfg.estimator == "shorth":
-        return location.shorth(window)
-    # bins anchored at the window minimum keep the estimate shift-invariant
-    base = float(window.min())
-    return base + location.mode(window - base, cfg.mode_quantize)
+    """The centre estimate of one window, the one row of ``_center_rows``."""
+    return float(_center_rows(_as_row(window), np.atleast_1d(center_value), cfg)[0])
 
 
 def _center_rows(x: np.ndarray, center: np.ndarray, cfg: FilterConfig) -> np.ndarray:
-    """``center_estimate`` of every row of x, an (m, n) array with n odd."""
+    """The centre estimate of every row of x, an (m, n) array."""
     if cfg.estimator == "center":
         return center
     if cfg.estimator == "median":
         return median_rows(x)
     if cfg.estimator == "shorth":
         return location.shorth_rows(x)
-    # mode: bins anchored at the row minimum; sorted values give sorted bins
+    # mode: bins anchored at the row minimum keep the estimate shift-invariant;
+    # sorted values give sorted bins
     s = np.sort(x, axis=1)
     step = cfg.mode_quantize
     return s[:, 0] + step * location.sorted_mode_rows(np.round((s - s[:, :1]) / step))

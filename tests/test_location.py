@@ -331,3 +331,42 @@ def test_averaging_all_estimators():
         x = rng.uniform(0, 1, n)
         for est in ESTIMATORS:
             assert x.min() - 1e-12 <= est(x) <= x.max() + 1e-12
+
+
+# literal values of the scalar estimators at their edges: one value, all
+# zeros, signed zeros, and a snap that rounds to -0.0
+LOCATION_EDGES = [
+    (mode, ([2.5],), 2.5),
+    (mode, ([0.0, 0.0],), 0.0),
+    (mode, ([-0.0],), -0.0),
+    (mode, ([-0.0, -0.0, 1.0],), -0.0),
+    (mode, ([3.0, 1.0, 3.0, 1.0],), 1.0),
+    (mode, ([-0.1, -0.2, 5.0], 1.0), -0.0),
+    (mode, ([0.26, 0.24, 0.74], 0.5), 0.5),
+    (shorth, ([2.5],), 2.5),
+    (shorth, ([0.0, 0.0],), 0.0),
+    (shorth, ([-0.0],), 0.0),
+    (shorth, ([-0.0, -0.0],), 0.0),
+    (shorth, ([0.0, 1.0, 3.0],), 0.5),
+    (lms, ([2.5],), 2.5),
+    (lms, ([0.0, 0.0],), 0.0),
+    (lms, ([-0.0],), -0.0),
+    (lms, ([-0.0, -0.0],), -0.0),
+    (lms, ([0.0, 1.0, 3.0],), 0.5),
+]
+
+
+def test_scalar_estimators_at_their_edges():
+    for fn, args, expected in LOCATION_EDGES:
+        got = fn(*args)
+        assert type(got) is float and got == expected, (fn.__name__, args, got)
+        assert math.copysign(1.0, got) == math.copysign(1.0, expected), (fn.__name__, args, got)
+
+
+def test_scalar_estimators_keep_their_error_messages():
+    for fn in (mode, shorth, lms):
+        for x, message in (([], "input must be non-empty"), ([[1.0, 2.0]], "input must be a 1-d vector"),
+                           (3.0, "input must be a 1-d vector"), ([1.0, math.nan], "input values must be finite"),
+                           ([1.0, -math.inf], "input values must be finite")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                fn(x)

@@ -345,3 +345,123 @@ def test_user_callable_means_refuse_non_finite_results():
             bajraktarevic_mean([1000, 1], [lambda t: 1.0] * 2, np.exp, np.log)
         with pytest.raises(ValueError, match="not finite"):
             generalized_mixture_mean([1, 2], [lambda t: math.inf, lambda t: 1.0])
+
+
+inf = math.inf
+# literal values of the scalar means at their edges: one value, all zeros, an
+# absorbing zero (p <= 0, q < 0), zero weights, infinite exponents and signed
+# zeros (a zero mean is +0 unless a max, min or order statistic picks -0.0)
+SCALAR_EDGES = [
+    (power_mean, ([2.5], 2.0), 2.5),
+    (power_mean, ([2.5], -inf), 2.5),
+    (power_mean, ([2.5], 0.0), 2.5),
+    (power_mean, ([0.0, 0.0], 2.0), 0.0),
+    (power_mean, ([0.0, 0.0], -1.0), 0.0),
+    (power_mean, ([0.0, 0.0], 0.0), 0.0),
+    (power_mean, ([0.0, 2.0, 4.0], -1.0), 0.0),
+    (power_mean, ([0.0, 2.0, 4.0], 0.0), 0.0),
+    (power_mean, ([0.0, 2.0, 4.0], -inf), 0.0),
+    (power_mean, ([0.0, 2.0, 4.0], inf), 4.0),
+    (power_mean, ([0.0, 2.0, 4.0], 1.0), 2.0),
+    (power_mean, ([1.0, 4.0], 0.0), 2.0),
+    (power_mean, ([1.0, 4.0], -1.0), 1.6),
+    (power_mean, ([0.0, 3.0], -1.0, [0.0, 1.0]), 3.0),
+    (power_mean, ([0.0, 3.0], 0.0, [0.0, 1.0]), 3.0000000000000004),
+    (power_mean, ([0.0, 3.0], -inf, [0.0, 1.0]), 3.0),
+    (power_mean, ([5.0, 3.0], inf, [0.0, 1.0]), 3.0),
+    (power_mean, ([1.0, 4.0], 2.0, [3.0, 1.0]), 2.179449471770337),
+    (power_mean, ([-0.0], 2.0), 0.0),
+    (power_mean, ([-0.0], -1.0), 0.0),
+    (power_mean, ([-0.0], 0.0), 0.0),
+    (power_mean, ([-0.0], inf), -0.0),
+    (power_mean, ([-0.0], -inf), -0.0),
+    (power_mean, ([-0.0, 3.0], 1.0, [1.0, 0.0]), 0.0),
+    (lehmer_mean, ([2.5], 2.0), 2.5),
+    (lehmer_mean, ([2.5], -inf), 2.5),
+    (lehmer_mean, ([0.0, 0.0], 2.0), 0.0),
+    (lehmer_mean, ([0.0, 0.0], -1.0), 0.0),
+    (lehmer_mean, ([0.0, 0.0], 0.0), 0.0),
+    (lehmer_mean, ([0.0, 2.0, 4.0], 1.0), 3.3333333333333335),
+    (lehmer_mean, ([0.0, 2.0, 4.0], -1.0), 0.0),
+    (lehmer_mean, ([0.0, 2.0, 4.0], -0.5), 0.0),
+    (lehmer_mean, ([0.0, 2.0, 4.0], inf), 4.0),
+    (lehmer_mean, ([0.0, 2.0, 4.0], -inf), 0.0),
+    (lehmer_mean, ([1.0, 4.0], -inf), 1.0),
+    (lehmer_mean, ([1.0, 4.0, 4.0], inf), 4.0),
+    (lehmer_mean, ([-0.0], 2.0), 0.0),
+    (lehmer_mean, ([-0.0], -1.0), 0.0),
+    (lehmer_mean, ([-0.0], 0.0), 0.0),
+    (lehmer_mean, ([-0.0], inf), 0.0),
+    (gini_mean, ([2.5], 1.0, 2.0), 2.5),
+    (gini_mean, ([0.0, 0.0], 1.0, 2.0), 0.0),
+    (gini_mean, ([0.0, 0.0], 1.0, -2.0), 0.0),
+    (gini_mean, ([0.0, 2.0, 4.0], 1.0, 1.0), 3.333333333333333),
+    (gini_mean, ([0.0, 2.0, 4.0], 1.0, -2.0), 0.0),
+    (gini_mean, ([0.0, 2.0, 4.0], 0.0, 2.0), 3.482202253184496),
+    (gini_mean, ([0.0, 2.0, 4.0], -1.0, 0.0), 0.0),
+    (gini_mean, ([1.0, 4.0], inf, 1.0), 4.0),
+    (gini_mean, ([1.0, 4.0], -inf, 1.0), 1.0),
+    (gini_mean, ([1.0, 4.0], 1.0, inf), 4.0),
+    (gini_mean, ([1.0, 4.0], 1.0, -inf), 1.0),
+    (gini_mean, ([0.0, 3.0], 1.0, -2.0, [0.0, 1.0]), 3.0),
+    (gini_mean, ([0.0, 3.0], 0.0, 0.0, [0.0, 1.0]), 3.0000000000000004),
+    (gini_mean, ([1.0, 4.0], 1.0, 1.0, [0.0, 1.0]), 4.0),
+    (gini_mean, ([-0.0], 2.0, 0.0), 0.0),
+    (gini_mean, ([-0.0], 1.0, 2.0), 0.0),
+    (gini_mean, ([-0.0], 1.0, -2.0), 0.0),
+    (median, ([2.5],), 2.5),
+    (median, ([0.0, 0.0],), 0.0),
+    (median, ([-0.0],), -0.0),
+    (median, ([-0.0, -0.0],), -0.0),
+    (median, ([1.0, 2.0, 4.0, 3.0],), 2.5),
+    (midrange, ([2.5],), 2.5),
+    (midrange, ([0.0, 0.0],), 0.0),
+    (midrange, ([-0.0],), -0.0),
+    (midrange, ([-0.0, -0.0],), -0.0),
+    (midrange, ([4.0, 1.0, 2.0],), 2.5),
+    (owa, ([2.5], [1.0]), 2.5),
+    (owa, ([0.0, 0.0], [1.0, 1.0]), 0.0),
+    (owa, ([-0.0], [1.0]), 0.0),
+    (owa, ([-0.0, -0.0], [1.0, 1.0]), 0.0),
+    (owa, ([1.0, 2.0, 3.0], [0.0, 0.0, 1.0]), 1.0),
+    (owa, ([1.0, 2.0, 3.0], [1.0, 0.0, 0.0]), 3.0),
+    (owa, ([1.0, 2.0, 3.0], [0.0, 2.0, 0.0]), 2.0),
+]
+
+
+def same_float(a, b):
+    """Equal values with equal signs, so that 0.0 and -0.0 differ."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def test_scalar_means_at_their_edges():
+    for fn, args, expected in SCALAR_EDGES:
+        got = fn(*args)
+        assert type(got) is float and same_float(got, expected), (fn.__name__, args, got)
+
+
+def test_scalar_means_keep_their_error_messages():
+    nonneg = [(power_mean, (2.0,)), (lehmer_mean, (2.0,)), (gini_mean, (1.0, 2.0))]
+    every = nonneg + [(median, ()), (midrange, ()), (owa, ([1.0, 1.0],))]
+    for fn, params in every:
+        for x, message in (([], "input must be non-empty"), ([[1.0, 2.0]], "input must be a 1-d vector"),
+                           (3.0, "input must be a 1-d vector"), ([1.0, math.nan], "input values must be finite"),
+                           ([1.0, inf], "input values must be finite")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                fn(x, *params)
+    for fn, params in nonneg:
+        with pytest.raises(ValueError, match=r"^negative components are outside the \[0, inf\) domain$"):
+            fn([1.0, -1.0], *params)
+    for call in (lambda: power_mean([1.0, 2.0], 1.0, [1.0]), lambda: owa([1.0, 2.0], [1.0]),
+                 lambda: gini_mean([1.0, 2.0], 1.0, 1.0, [1.0, 2.0, 3.0])):
+        with pytest.raises(ValueError, match=r"^expected 2 weights, got shape \(\d,\)$"):
+            call()
+    for w in ([1.0, -1.0], [0.0, 0.0]):
+        with pytest.raises(ValueError, match="^weights must be non-negative with a positive sum$"):
+            owa([1.0, 2.0], w)
+    for call, name in ((lambda: power_mean([1.0, 2.0], math.nan), "p"),
+                       (lambda: lehmer_mean([1.0, 2.0], math.nan), "q"),
+                       (lambda: gini_mean([1.0, 2.0], math.nan, 1.0), "p"),
+                       (lambda: gini_mean([1.0, 2.0], 1.0, math.nan), "q")):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got nan$"):
+            call()
