@@ -56,28 +56,34 @@ def mode_rows(X: ArrayLike) -> np.ndarray:
 
 def _tie_scale(lo, hi):
     """The spread hi - lo of data in [lo, hi], or 2^-8 of their largest
-    magnitude where that is larger: a near-tie floor built on it scales with
-    the data, and stays put under a shift unless the data sit so far from 0
-    that it must cover the shift's rounding noise, 2^-52 of that magnitude."""
+    magnitude where that is larger: the near-tie floors of ``lts`` and the
+    exact OWA solver, built on it, scale with the data, and stay put under a
+    shift unless the data sit so far from 0 that it must cover the shift's
+    rounding noise, 2^-52 of that magnitude."""
     return np.maximum(hi - lo, np.maximum(-lo, hi) / 256)
 
 
 def _shortest_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Row-sorted X, the start of each row's shortest half-sample window and
-    the window's last offset."""
+    the window's last offset.
+
+    Near-ties go to the smallest start: a window is taken when its length is
+    within 1e-9 min(1, max x - min x) + 2^-46 max |x| of the shortest.  The
+    first term does not move under a shift x + a; the second, 64 to 128 ulps
+    of max |x|, keeps windows of quantized data tied through the rounding
+    noise a shift adds.  So a shift can switch the window only where a
+    window is longer than the shortest by the first term to within about
+    2^-46 of the larger of max |x| and max |x + a|.
+    """
     xs = np.sort(X, axis=-1)
     n = xs.shape[-1]
     half, starts = n // 2, (n + 1) // 2
-    # half of each window's length, finite where the length overflows; a
-    # power of two commutes with rounding, so the choice is that of lengths
+    # half of each window's length, and of the spread, finite where the
+    # length overflows; a power of two commutes with rounding, so the choice
+    # is that of lengths
     length = 0.5 * xs[..., half : half + starts] - 0.5 * xs[..., :starts]
-    # near-ties (within fp noise of a uniform shift) resolve to the smallest
-    # start so the selection is stable under translation of quantized data:
-    # within 1e-9 max |x| where max |x| >= 1, else 1e-9 min(1, _tie_scale)
     lo, hi = xs[..., :1], xs[..., -1:]
-    m = np.maximum(-lo, hi)
-    with np.errstate(over="ignore"):  # a spread that overflows is not taken
-        tol = 1e-9 * np.where(m >= 1, m, np.minimum(1.0, _tie_scale(lo, hi)))
+    tol = 2e-9 * np.minimum(0.5, 0.5 * hi - 0.5 * lo) + 2.0**-46 * np.maximum(-lo, hi)
     k = np.argmax(length <= length.min(axis=-1, keepdims=True) + 0.5 * tol, axis=-1)
     return xs, k[..., None], half
 

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from weakmeans import (
+    SamplerConfig,
+    check_shift_invariance,
+    check_weak_monotonicity,
     density_mean,
     lms,
     lts,
@@ -17,6 +20,7 @@ from weakmeans import (
 from weakmeans.location import lms_rows, shorth_rows
 from weakmeans.means import midrange
 from weakmeans.penalty import penalty_values
+from weakmeans.properties import named_aggregator
 
 ESTIMATORS = [mode, shorth, lms, lts, density_mean]
 
@@ -40,13 +44,13 @@ def test_mode_quantized():
 
 def shortest_half_oracle(x):
     """Independent oracle: a plain loop over every contiguous half-sample of
-    the sorted data; the first whose length is within 1e-9 max(1, max|x|) of
-    the shortest is the window."""
+    the sorted data; the first whose length is within
+    1e-9 min(1, max x - min x) + 2^-46 max|x| of the shortest is the window."""
     xs = sorted(float(v) for v in x)
     h = len(xs) // 2
     windows = [xs[k : k + h + 1] for k in range(len(xs) - h)]
     shortest = min(w[-1] - w[0] for w in windows)
-    tol = 1e-9 * max(1.0, max(abs(v) for v in xs))
+    tol = 2e-9 * min(0.5, xs[-1] / 2 - xs[0] / 2) + 2**-46 * max(abs(v) for v in xs)
     for w in windows:
         if w[-1] - w[0] <= shortest + tol:
             return w
@@ -192,6 +196,27 @@ def test_near_ties_do_not_move_under_a_shift():
             ref = estimate(x)
             for c in (1e-6, 1e-3, 0.1, 0.5):
                 assert abs(estimate(x + c) - c - ref) <= 1e-12
+
+
+# (x, a) whose two shortest windows differ by just over a near-tie floor
+# that grew with max |x|: the shift moved the floor across the difference,
+# and the estimate jumped to the left window, below its unshifted value
+SHIFTED_NEAR_TIES = [((0.0, 0.400000001, 0.800000001), 0.3),
+                     ((0.0, 0.375 + 2**-30, 0.75 + 2**-30), 0.375),  # x + a is exact
+                     ((980.0, 990.0000010001, 1000.0000010001), 0.2)]
+
+
+def test_shortest_windows_follow_a_shift():
+    forms = [shorth, lms, lambda x: shorth_rows([x])[0], lambda x: lms_rows([x])[0]]
+    for x, a in SHIFTED_NEAR_TIES:
+        x = np.array(x)
+        for estimate in forms:
+            assert estimate(x + a) >= estimate(x)
+            assert abs(estimate(x + a) - a - estimate(x)) <= 1e-9
+        cfg = SamplerConfig(samples=1, probe_points=[(tuple(x), a)])
+        for name in ("shorth", "lms"):
+            for check in (check_shift_invariance, check_weak_monotonicity):
+                assert not check(named_aggregator(name), n=3, cfg=cfg).violated, (name, x, a)
 
 
 def test_one_value_is_its_own_estimate():
