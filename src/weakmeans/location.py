@@ -5,8 +5,9 @@ regression operators, and density-based means.  All are shift-invariant
 (and hence weakly monotone) but not monotone.
 
 ``mode_rows``, ``shorth_rows`` and ``lms_rows`` evaluate their estimator on
-every row (last axis) of an array at once, with the scalar function's tie
-rules; the scalar function is the reference.
+every row (last axis) of an array at once, and ``mode``, ``shorth`` and
+``lms`` are one-row calls of them; the tests hold them to ``np.unique`` and
+a plain loop over the half-sample windows.
 """
 
 from __future__ import annotations
@@ -56,65 +57,52 @@ def mode_rows(X: ArrayLike) -> np.ndarray:
 
 def _tie_scale(lo, hi):
     """The spread hi - lo of data in [lo, hi], or 2^-8 of their largest
-    magnitude where that is larger: the near-tie floors of ``lts`` and the
-    exact OWA solver, built on it, scale with the data, and stay put under a
-    shift unless the data sit so far from 0 that it must cover the shift's
-    rounding noise, 2^-52 of that magnitude."""
+    magnitude where that is larger: the near-tie floors of ``lts`` and OWA
+    built on it scale with the data, and stay put under a shift unless the
+    data sit so far from 0 that they must cover the shift's rounding noise,
+    2^-52 of that magnitude."""
     return np.maximum(hi - lo, np.maximum(-lo, hi) / 256)
 
 
-def _shortest_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Row-sorted X, the start of each row's shortest half-sample window and
-    the window's last offset.
+def _shortest_windows(X: ArrayLike) -> np.ndarray:
+    """The shortest half-sample window of every row of X, sorted.
 
-    Near-ties go to the smallest start: a window is taken when its length is
-    within 1e-9 min(1, max x - min x) + 2^-46 max |x| of the shortest.  The
-    first term does not move under a shift x + a; the second, 64 to 128 ulps
-    of max |x|, keeps windows of quantized data tied through the rounding
-    noise a shift adds.  So a shift can switch the window only where a
-    window is longer than the shortest by the first term to within about
-    2^-46 of the larger of max |x| and max |x + a|.
+    Near-ties go to the smallest start: the first window whose length is
+    within 1e-9 min(1, max x - min x) + 2^-46 max |x| of the shortest.  A
+    shift x + a moves only the second term, 64 to 128 ulps of max |x| that
+    keep quantized data tied through the shift's rounding noise; so it can
+    switch the window only where one is longer than the shortest by the
+    first term to within about 2^-46 max(max |x|, max |x + a|).
     """
-    xs = np.sort(X, axis=-1)
+    xs = np.sort(_as_rows(X), axis=-1)
     n = xs.shape[-1]
     half, starts = n // 2, (n + 1) // 2
-    # half of each window's length, and of the spread, finite where the
-    # length overflows; a power of two commutes with rounding, so the choice
-    # is that of lengths
+    # half of each window's length and of the spread, finite where the
+    # length overflows; a power of two commutes with rounding
     length = 0.5 * xs[..., half : half + starts] - 0.5 * xs[..., :starts]
     lo, hi = xs[..., :1], xs[..., -1:]
     tol = 2e-9 * np.minimum(0.5, 0.5 * hi - 0.5 * lo) + 2.0**-46 * np.maximum(-lo, hi)
     k = np.argmax(length <= length.min(axis=-1, keepdims=True) + 0.5 * tol, axis=-1)
-    return xs, k[..., None], half
+    return np.take_along_axis(xs, k[..., None] + np.arange(half + 1), axis=-1)
 
 
 def shorth(x: ArrayLike) -> float:
     """Arithmetic mean of the shortest half-sample window."""
-    return float(_shorth(_as_row(x))[0])
+    return float(shorth_rows(_as_row(x))[0])
 
 
 def shorth_rows(X: ArrayLike) -> np.ndarray:
-    return _shorth(_as_rows(X))
-
-
-def _shorth(X: np.ndarray) -> np.ndarray:
-    xs, k, half = _shortest_rows(X)
-    return _mean(np.take_along_axis(xs, k + np.arange(half + 1), axis=-1))
+    return _mean(_shortest_windows(X))
 
 
 def lms(x: ArrayLike) -> float:
     """Least median of squares: midpoint of the shortest half-sample window."""
-    return float(_lms(_as_row(x))[0])
+    return float(lms_rows(_as_row(x))[0])
 
 
 def lms_rows(X: ArrayLike) -> np.ndarray:
-    return _lms(_as_rows(X))
-
-
-def _lms(X: np.ndarray) -> np.ndarray:
-    xs, k, half = _shortest_rows(X)
-    ends = np.take_along_axis(xs, np.concatenate([k, k + half], axis=-1), axis=-1)
-    return _midpoint(ends[..., 0], ends[..., 1])
+    w = _shortest_windows(X)
+    return _midpoint(w[..., 0], w[..., -1])
 
 
 def lts(x: ArrayLike) -> float:

@@ -7,8 +7,10 @@ components (drop for positive exponent, absorb for negative, arithmetic at
 zero) instead of relying on 0**q arithmetic.
 
 A ``*_rows`` function evaluates its mean on every row (last axis) of an
-array at once, with the same conventions; the scalar function is its
-reference.
+array at once, and its scalar function is a one-row call of it.  The tests
+hold the row forms to other constructions here: mixture (Lehmer),
+quasi-arithmetic (power) and Bajraktarevic (Gini) means, order statistics
+(median, midrange) and a sorted dot product (OWA).
 """
 
 from __future__ import annotations
@@ -41,16 +43,17 @@ class Interval:
 
 
 def _as_input(x: ArrayLike) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("input must be a 1-d vector")
-    return _as_rows(x)
+    return _as_rows(_as_row(x))[0]
 
 
 def _as_row(x: ArrayLike) -> np.ndarray:
-    """The 1-d vector x as a (1, n) block: a scalar function is a one-row
-    call of its row kernel."""
-    return _as_input(x)[None]
+    """The 1-d vector x as a contiguous (1, n) block (a strided dot may round
+    otherwise): a scalar function passes it to its row form, which checks
+    the rest, so each input is checked once."""
+    x = np.asarray(x, dtype=float, order="C")
+    if x.ndim != 1:
+        raise ValueError("input must be a 1-d vector")
+    return x[None]
 
 
 def _as_rows(X: ArrayLike) -> np.ndarray:
@@ -70,7 +73,7 @@ def _finite(value: float) -> float:
 
 
 def _require_nonnegative(x: np.ndarray) -> np.ndarray:
-    if (x < 0).any():
+    if x.min() < 0:  # x is non-empty and finite; one pass, no mask
         raise ValueError("negative components are outside the [0, inf) domain")
     return x
 
@@ -200,18 +203,11 @@ def power_mean(x: ArrayLike, p: float, weights: ArrayLike | None = None) -> floa
     weight absorbs the mean to 0 for p <= 0.  Zero-weight components are
     ignored, even in the zero conventions.
     """
-    return float(_power(_as_row, x, p, weights)[0])
+    return float(power_mean_rows(_as_row(x), p, weights)[0])
 
 
 def power_mean_rows(X: ArrayLike, p: float, weights: ArrayLike | None = None) -> np.ndarray:
-    return _power(_as_rows, X, p, weights)
-
-
-def _power(check, X, p, weights):
-    """``power_mean`` of every row of X, which ``check`` validates."""
-    _check_exponent(p, "p")
-    X = _require_nonnegative(check(X))
-    return _power_rows(X, p, _norm_weights(weights, X.shape[-1]))
+    return gini_mean_rows(X, p, 0.0, weights)  # the Gini mean at q = 0
 
 
 def _dominant(X: np.ndarray, part: np.ndarray, e: float) -> np.ndarray:
@@ -255,14 +251,11 @@ def quasi_arithmetic_mean(
 
 def owa(x: ArrayLike, weights: ArrayLike) -> float:
     """Ordered weighted average: weights applied to x sorted non-increasing."""
-    return float(_owa(_as_row(x), weights)[0])
+    return float(owa_rows(_as_row(x), weights)[0])
 
 
 def owa_rows(X: ArrayLike, weights: ArrayLike) -> np.ndarray:
-    return _owa(_as_rows(X), weights)
-
-
-def _owa(X: np.ndarray, weights: ArrayLike) -> np.ndarray:
+    X = _as_rows(X)
     return (_norm_weights(weights, X.shape[-1]) * np.sort(X, axis=-1)[..., ::-1]).sum(axis=-1)
 
 
@@ -277,15 +270,11 @@ def order_statistic(x: ArrayLike, k: int) -> float:
 def median(x: ArrayLike) -> float:
     """Middle order statistic; even n averages the two middle values
     (``order_statistic`` gives the lower and the upper one)."""
-    return float(_median(_as_row(x))[0])
+    return float(median_rows(_as_row(x))[0])
 
 
 def median_rows(X: ArrayLike) -> np.ndarray:
-    return _median(_as_rows(X))
-
-
-def _median(X: np.ndarray) -> np.ndarray:
-    s = np.sort(X, axis=-1)
+    s = np.sort(_as_rows(X), axis=-1)
     n = s.shape[-1]
     if n % 2 == 1:
         return s[..., n // 2]
@@ -329,25 +318,19 @@ def gini_mean(
     follow the same limit conventions as the Lehmer mean: dropped for q>0,
     absorbing for q<0.  Zero-weight components are ignored.
     """
-    return float(_gini(_as_row, x, p, q, weights)[0])
+    return float(gini_mean_rows(_as_row(x), p, q, weights)[0])
 
 
 def gini_mean_rows(
     X: ArrayLike, p: float, q: float, weights: ArrayLike | None = None
 ) -> np.ndarray:
-    return _gini(_as_rows, X, p, q, weights)
-
-
-def _gini(check, X, p, q, weights):
-    """``gini_mean`` of every row of X, which ``check`` validates: the power
-    mean of order p under weights w x^q, rescaled by the component that
-    dominates x^q so that the weights stay finite."""
     _check_exponent(p, "p")
     _check_exponent(q, "q")
-    X = _require_nonnegative(check(X))
+    X = _require_nonnegative(_as_rows(X))
     w = _norm_weights(weights, X.shape[-1])
     if q == 0:
         return _power_rows(X, p, w)
+    # weights w x^q, rescaled by the c that dominates x^q so they stay finite
     part = w > 0
     c = _dominant(X, part, q)
     # c = 0 only for an all-zero row, or (q < 0) an absorbing zero: both
@@ -362,24 +345,18 @@ def lehmer_mean(x: ArrayLike, q: float) -> float:
     Zero components are handled as limits: neutral for q>0, absorbing for
     q<0; q=0 is the arithmetic mean.
     """
-    return float(_lehmer(_as_row, x, q)[0])
+    return float(lehmer_mean_rows(_as_row(x), q)[0])
 
 
 def lehmer_mean_rows(X: ArrayLike, q: float) -> np.ndarray:
-    return _lehmer(_as_rows, X, q)
-
-
-def _lehmer(check, X, q):
-    """``lehmer_mean`` of every row of X, which ``check`` validates.
-    Homogeneity: a row is rescaled by the component c that dominates x^q."""
     _check_exponent(q, "q")
-    X = _require_nonnegative(check(X))
+    X = _require_nonnegative(_as_rows(X))
     if q == 0:
         return _mean(X)
+    # homogeneity: rescale by the component c that dominates x^q
     c = X.max(axis=-1, keepdims=True) if q > 0 else X.min(axis=-1, keepdims=True)
-    # c = 0 only for an all-zero row, or (q < 0) an absorbing zero: both
-    # give +0, also where that zero is -0.0.  For q > 0 a zero adds
-    # 0**q = 0 to both sums, which drops it.
+    # c = 0 only for an all-zero row, or (q < 0) an absorbing zero: both give
+    # +0, even from -0.0.  For q > 0 a zero adds 0**q = 0 to both sums.
     y = np.divide(X, c, out=np.ones_like(X), where=c > 0)
     yq = y**q
     return (c[..., 0] + 0.0) * ((yq * y).sum(axis=-1) / yq.sum(axis=-1))
@@ -410,12 +387,9 @@ def contraharmonic_mean(x: ArrayLike) -> float:
 
 
 def midrange(x: ArrayLike) -> float:
-    return float(_midrange(_as_row(x))[0])
+    return float(midrange_rows(_as_row(x))[0])
 
 
 def midrange_rows(X: ArrayLike) -> np.ndarray:
-    return _midrange(_as_rows(X))
-
-
-def _midrange(X: np.ndarray) -> np.ndarray:
+    X = _as_rows(X)
     return _midpoint(X.min(axis=-1), X.max(axis=-1))

@@ -36,9 +36,7 @@ class Aggregator:
     rows: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x) -> float:
-        # a row of a column-major block is strided, and a strided dot may
-        # round otherwise: fn sees every vector contiguous
-        return float(self.fn(np.asarray(x, dtype=float, order="C")))
+        return float(self.fn(np.asarray(x, dtype=float)))
 
 
 class _Named(NamedTuple):

@@ -8,8 +8,9 @@ Huber dissimilarity is minimized exactly by a breakpoint search, with the
 penalty engine over ``tonal_penalty`` as its reference.
 
 ``filter_image`` filters every window of an image in row blocks of NumPy
-operations; ``filter_pixel`` filters one window through the scalar
-estimators and is the reference the tests compare the whole-image path with.
+operations; ``filter_pixel`` filters one window, its centre estimate one
+row of the same estimators, and is the reference the tests compare the
+whole-image path with.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import location
-from .means import _as_row, _check_positive, median_rows
+from .means import _as_input, _check_positive, median_rows
 from .pgm import GrayImage
 
 TONAL_KERNELS = ("gaussian", "cauchy")
@@ -87,7 +88,7 @@ class FilterConfig:
 
 def center_estimate(window: np.ndarray, center_value: float, cfg: FilterConfig) -> float:
     """The centre estimate of one window, the one row of ``_center_rows``."""
-    return float(_center_rows(_as_row(window), np.atleast_1d(center_value), cfg)[0])
+    return float(_center_rows(_as_input(window)[None], np.atleast_1d(center_value), cfg)[0])
 
 
 def _center_rows(x: np.ndarray, center: np.ndarray, cfg: FilterConfig) -> np.ndarray:
@@ -98,8 +99,7 @@ def _center_rows(x: np.ndarray, center: np.ndarray, cfg: FilterConfig) -> np.nda
         return median_rows(x)
     if cfg.estimator == "shorth":
         return location.shorth_rows(x)
-    # mode: bins anchored at the row minimum keep the estimate shift-invariant;
-    # sorted values give sorted bins
+    # mode: bins anchored at the row minimum (shift-invariant); sorted values give sorted bins
     s = np.sort(x, axis=1)
     step = cfg.mode_quantize
     return s[:, 0] + step * location.sorted_mode_rows(np.round((s - s[:, :1]) / step))

@@ -335,6 +335,15 @@ def test_density_mean_values():
     assert density_mean([0.0, 1e200]) == 5e199
 
 
+def test_a_strided_vector_gives_what_its_copy_gives():
+    # a row of a column-major block is strided, and a strided dot rounds
+    # otherwise than a contiguous one
+    rng = np.random.default_rng(9)
+    for _ in range(500):
+        B = np.asfortranarray(rng.normal(size=(3, int(rng.integers(4, 40)))))
+        assert density_mean(B[1]) == density_mean(B[1].copy())
+
+
 def test_shift_invariance_all_estimators():
     rng = np.random.default_rng(21)
     for _ in range(400):
