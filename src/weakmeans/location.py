@@ -79,9 +79,10 @@ def _shortest_windows(X: ArrayLike) -> np.ndarray:
     half, starts = n // 2, (n + 1) // 2
     # half of each window's length and of the spread, finite where the
     # length overflows; a power of two commutes with rounding
-    length = 0.5 * xs[..., half : half + starts] - 0.5 * xs[..., :starts]
-    lo, hi = xs[..., :1], xs[..., -1:]
-    tol = 2e-9 * np.minimum(0.5, 0.5 * hi - 0.5 * lo) + 2.0**-46 * np.maximum(-lo, hi)
+    h = 0.5 * xs
+    length = h[..., half : half + starts] - h[..., :starts]
+    m = np.maximum(-xs[..., :1], xs[..., -1:])
+    tol = 2e-9 * np.minimum(0.5, h[..., -1:] - h[..., :1]) + 2.0**-46 * m
     k = np.argmax(length <= length.min(axis=-1, keepdims=True) + 0.5 * tol, axis=-1)
     return np.take_along_axis(xs, k[..., None] + np.arange(half + 1), axis=-1)
 
