@@ -46,9 +46,9 @@ def sorted_mode_rows(S: np.ndarray) -> np.ndarray:
     j = np.arange(S.shape[-1])
     starts = np.ones(S.shape, dtype=bool)
     starts[..., 1:] = S[..., 1:] != S[..., :-1]
-    first = np.maximum.accumulate(np.where(starts, j, 0), axis=-1)  # where each run starts
-    end = np.argmax(j - first, axis=-1)[..., None]  # the first end of a longest run
-    return np.take_along_axis(S, np.take_along_axis(first, end, axis=-1), axis=-1)[..., 0]
+    run = j - np.maximum.accumulate(np.where(starts, j, 0), axis=-1)
+    first = np.argmax(run, axis=-1) - run.max(axis=-1)  # its first end less its length
+    return np.take_along_axis(S, first[..., None], axis=-1)[..., 0]
 
 
 def mode_rows(X: ArrayLike) -> np.ndarray:
