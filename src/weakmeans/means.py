@@ -188,7 +188,7 @@ def _weighted_mean(w: np.ndarray, v: np.ndarray) -> float:
 
 
 def arithmetic_mean(x: ArrayLike) -> float:
-    return float(_mean(_as_input(x)))
+    return float(arithmetic_mean_rows(_as_row(x))[0])
 
 
 def arithmetic_mean_rows(X: ArrayLike) -> np.ndarray:
