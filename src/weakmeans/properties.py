@@ -211,26 +211,45 @@ _FIRST_CHUNK = 8  # samples; each chunk is 8 times the last
 _CHUNK_ELEMENTS = 2**17
 
 
-def _falsify(prop: str, F: Aggregator, n: int | None, cfg: SamplerConfig, fields: tuple,
-             extra: int, draw, test, keep=None) -> PropertyReport:
+class Property(NamedTuple):
+    """A property the falsifier checks, and its check: ``CHECKS[name](F, n,
+    cfg)`` searches for a case that violates it.
+
+    A case is one array per name in ``fields``.  ``draw(U, n, box, i, F,
+    cfg)`` maps a block U of uniform rows, the 3n + 3 columns ``_sample_x``
+    maps and then ``extra(n)`` more, of the sample numbers i to cases with a
+    first axis of len(U).  ``test(G, cfg, n, *case)`` returns the violation
+    flags and the values behind them; ``G(*points)`` evaluates F at each
+    point.  A witness replays as ``CHECKS[name].test(G, cfg, n, *case)``.
+    Samples that ``keep(*case)`` rejects have nothing left to test after
+    clipping to the domain, and are skipped.
+    """
+
+    name: str
+    fields: tuple
+    extra: Callable[[int], int]
+    draw: Callable
+    test: Callable
+    keep: Callable | None = None
+
+    def __call__(self, F: Aggregator, n: int | None = None,
+                 cfg: SamplerConfig | None = None) -> PropertyReport:
+        return _falsify(self, F, n, cfg or SamplerConfig())
+
+
+def _falsify(prop: Property, F: Aggregator, n: int | None, cfg: SamplerConfig) -> PropertyReport:
     """The sampling loop shared by every property check.
 
     Sample i (1-based) is the i-th probe point while any remain; drawn
     sample k is row k of the seed's stream of uniform rows, whatever the
-    chunking or the budget.  A row has the 3n + 3 columns ``_sample_x``
-    maps, then ``extra`` more.  Blocks hold at most ``_CHUNK_ELEMENTS``
+    chunking or the budget.  Blocks hold at most ``_CHUNK_ELEMENTS``
     uniforms: a budget that fits is drawn as one block, a larger one in
     blocks of 8, 64, 512, ... rows, so that an early witness stays cheap.
     Each block is copied to column-major order (the copy keeps the
     stream), so reductions over a row's few columns run over contiguous
-    memory.  ``draw(U, n, box, i)`` maps a block U of the sample numbers i
-    to one array per name in ``fields`` with a first axis of len(U).
-    ``test(G, *case)`` returns the violation flags and the values behind
-    them; ``G(*points)`` evaluates F at each point, at a vector by F itself
-    and at every row of stacked arrays by one ``F.rows`` call on one
-    column-major block (or else F per row).  Samples that ``keep(*case)``
-    rejects (nothing left to test after clipping to the domain) and probes
-    of another arity are skipped.
+    memory.  ``G`` evaluates F at a vector by F itself and at every row of
+    stacked arrays by one ``F.rows`` call on one column-major block (or
+    else F per row).  Probes of another arity are skipped.
     The first flagged sample that F confirms on its own is the witness.
     """
     start = time.perf_counter()
@@ -253,14 +272,14 @@ def _falsify(prop: str, F: Aggregator, n: int | None, cfg: SamplerConfig, fields
         return [values[k * m : (k + 1) * m] for k in range(len(points))]
 
     def witness(case: tuple) -> dict | None:
-        bad, values = test(G, *case)
+        bad, values = prop.test(G, cfg, n, *case)
         if bad:
-            found = {k: list(map(float, v)) if v.ndim else float(v) for k, v in zip(fields, case)}
+            found = {k: v.tolist() if v.ndim else float(v) for k, v in zip(prop.fields, case)}
             return found | {k: float(v) for k, v in values.items()}
 
     def report(found: dict | None, used: int) -> PropertyReport:
         verdict = "no-violation-found" if found is None else "violated"
-        return PropertyReport(prop, verdict, found, used, cfg.seed, cfg.tol, F.name,
+        return PropertyReport(prop.name, verdict, found, used, cfg.seed, cfg.tol, F.name,
                               skipped, evaluations, time.perf_counter() - start)
 
     for used, case in enumerate(probes, 1):
@@ -268,16 +287,16 @@ def _falsify(prop: str, F: Aggregator, n: int | None, cfg: SamplerConfig, fields
             skipped += 1
         elif (found := witness(case)) is not None:
             return report(found, used)
-    cols = 3 * n + 3 + extra
+    cols = 3 * n + 3 + prop.extra(n)
     cap = max(1, _CHUNK_ELEMENTS // cols)
     used = len(probes)
     size = cap if budget - used <= cap else min(_FIRST_CHUNK, cap)
     while used < budget:
         m = min(size, budget - used)
         U = np.asfortranarray(rng.random((m, cols)))
-        case = draw(U, n, box, np.arange(used + 1, used + m + 1))
-        kept = np.ones(m, dtype=bool) if keep is None else keep(*case)
-        bad = test(G, *(case if kept.all() else (v[kept] for v in case)))[0]
+        case = prop.draw(U, n, box, np.arange(used + 1, used + m + 1), F, cfg)
+        kept = np.ones(m, dtype=bool) if prop.keep is None else prop.keep(*case)
+        bad = prop.test(G, cfg, n, *(case if kept.all() else (v[kept] for v in case)))[0]
         for i in np.flatnonzero(kept)[bad].tolist():
             if (found := witness(tuple(v[i] for v in case))) is not None:
                 skipped += int(np.count_nonzero(~kept[:i]))
@@ -287,144 +306,106 @@ def _falsify(prop: str, F: Aggregator, n: int | None, cfg: SamplerConfig, fields
     return report(None, budget)
 
 
-def check_weak_monotonicity(
-    F: Aggregator, n: int | None = None, cfg: SamplerConfig | None = None
-) -> PropertyReport:
-    """Search for x, a > 0 with F(x + a*1) < F(x) - tol."""
-    cfg = cfg or SamplerConfig()
-
-    def draw(U, n, box, i):
-        x = _sample_x(U, n, box)
-        a = _uniform(U[:, -1], 0.0, cfg.shift_max)
-        return x, np.minimum(a, F.domain.hi - x.max(axis=-1))
-
-    def test(G, x, a):
-        before, after = G(x, x + a[..., None])
-        return after < before - cfg.tol, {"value_before": before, "value_after": after}
-
-    return _falsify("weakly-monotone", F, n, cfg, ("x", "a"), 1, draw, test,
-                    keep=lambda x, a: a > 0)
+def _draw_x(U, n, box, i, F, cfg):
+    return (_sample_x(U, n, box),)
 
 
-def check_monotonicity(
-    F: Aggregator, n: int | None = None, cfg: SamplerConfig | None = None
-) -> PropertyReport:
-    """Search for x <= y componentwise with F(y) < F(x) - tol."""
-    cfg = cfg or SamplerConfig()
-    n = _arity(F, n)
-
-    def draw(U, n, box, i):
-        # after x: a coordinate j, its step, then a step per coordinate;
-        # odd samples raise coordinate j, even samples all
-        x = _sample_x(U, n, box)
-        step = _uniform(U[:, -n - 1 :], 0.0, cfg.shift_max)
-        one = step[:, :1] * (np.arange(n) == _below(U[:, -n - 2], n)[:, None])
-        y = x + np.where(i[:, None] % 2 == 1, one, step[:, 1:])
-        return x, np.minimum(y, F.domain.hi)
-
-    def test(G, x, y):
-        fx, fy = G(x, y)
-        return fy < fx - cfg.tol, {"value_before": fx, "value_after": fy}
-
-    return _falsify("monotone", F, n, cfg, ("x", "y"), n + 2, draw, test)
+def _draw_monotone(U, n, box, i, F, cfg):
+    # after x: a coordinate j, its step, then a step per coordinate;
+    # odd samples raise coordinate j, even samples all
+    x = _sample_x(U, n, box)
+    step = _uniform(U[:, -n - 1 :], 0.0, cfg.shift_max)
+    one = step[:, :1] * (np.arange(n) == _below(U[:, -n - 2], n)[:, None])
+    y = x + np.where(i[:, None] % 2 == 1, one, step[:, 1:])
+    return x, np.minimum(y, F.domain.hi)
 
 
-def check_shift_invariance(
-    F: Aggregator, n: int | None = None, cfg: SamplerConfig | None = None
-) -> PropertyReport:
-    """Search for x, a with |F(x + a*1) - F(x) - a| > tol."""
-    cfg = cfg or SamplerConfig()
-
-    def draw(U, n, box, i):
-        x = _sample_x(U, n, box)
-        a = _uniform(U[:, -1], -cfg.shift_max, cfg.shift_max)
-        return x, np.clip(a, F.domain.lo - x.min(axis=-1), F.domain.hi - x.max(axis=-1))
-
-    def test(G, x, a):
-        fx, fxa = G(x, x + a[..., None])
-        values = {"value_before": fx, "value_after": fxa, "expected_after": fx + a}
-        return np.abs(fxa - fx - a) > cfg.tol, values
-
-    return _falsify("shift-invariant", F, n, cfg, ("x", "a"), 1, draw, test)
+def _test_decrease(G, cfg, n, x, y):
+    fx, fy = G(x, y)
+    return fy < fx - cfg.tol, {"value_before": fx, "value_after": fy}
 
 
-def check_homogeneity(
-    F: Aggregator, n: int | None = None, cfg: SamplerConfig | None = None
-) -> PropertyReport:
-    """Search for x, lambda > 0 with |F(lambda*x) - lambda*F(x)| > tol*max(1, lambda)."""
-    cfg = cfg or SamplerConfig()
-
-    def draw(U, n, box, i):
-        x = _sample_x(U, n, box)
-        lam = _uniform(U[:, -1], 0.05, 10.0)
-        top = np.abs(x).max(axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return x, np.where(top > 0, np.minimum(lam, F.domain.hi / top), lam)
-
-    def test(G, x, lam):
-        fx, flx = G(x, lam[..., None] * x)
-        values = {"value": fx, "scaled_value": flx, "expected": lam * fx}
-        return np.abs(flx - lam * fx) > cfg.tol * np.maximum(1.0, lam), values
-
-    return _falsify("homogeneous", F, n, cfg, ("x", "lambda"), 1, draw, test)
+def _draw_rise(U, n, box, i, F, cfg):
+    x = _sample_x(U, n, box)
+    a = _uniform(U[:, -1], 0.0, cfg.shift_max)
+    return x, np.minimum(a, F.domain.hi - x.max(axis=-1))
 
 
-def check_idempotency(
-    F: Aggregator, n: int | None = None, cfg: SamplerConfig | None = None
-) -> PropertyReport:
-    """Search for t with |F(t, ..., t) - t| > tol."""
-    cfg = cfg or SamplerConfig()
-    n = _arity(F, n)
-
-    def draw(U, n, box, i):
-        # t is uniform like a point's first coordinate; its row's other
-        # columns go unused
-        return (_uniform(U[:, 0], box.lo, box.hi),)
-
-    def test(G, t):
-        (ft,) = G(np.repeat(t[..., None], n, axis=-1))
-        return np.abs(ft - t) > cfg.tol, {"value": ft}
-
-    return _falsify("idempotent", F, n, cfg, ("t",), 0, draw, test)
+def _test_rise(G, cfg, n, x, a):
+    return _test_decrease(G, cfg, n, x, x + a[..., None])
 
 
-def check_averaging(
-    F: Aggregator, n: int | None = None, cfg: SamplerConfig | None = None
-) -> PropertyReport:
-    """Search for x with F(x) outside [min(x), max(x)] by more than tol."""
-    cfg = cfg or SamplerConfig()
-
-    def test(G, x):
-        (fx,) = G(x)
-        return (fx < x.min(axis=-1) - cfg.tol) | (fx > x.max(axis=-1) + cfg.tol), {"value": fx}
-
-    draw = lambda U, n, box, i: (_sample_x(U, n, box),)
-    return _falsify("averaging", F, n, cfg, ("x",), 0, draw, test)
+def _draw_shift(U, n, box, i, F, cfg):
+    x = _sample_x(U, n, box)
+    a = _uniform(U[:, -1], -cfg.shift_max, cfg.shift_max)
+    return x, np.clip(a, F.domain.lo - x.min(axis=-1), F.domain.hi - x.max(axis=-1))
 
 
-def check_internality(
-    F: Aggregator, n: int | None = None, cfg: SamplerConfig | None = None
-) -> PropertyReport:
-    """Search for x with F(x) farther than tol from every x_i."""
-    cfg = cfg or SamplerConfig()
-
-    def test(G, x):
-        (fx,) = G(x)
-        return np.abs(x - fx[..., None]).min(axis=-1) > cfg.tol, {"value": fx}
-
-    draw = lambda U, n, box, i: (_sample_x(U, n, box),)
-    return _falsify("internal", F, n, cfg, ("x",), 0, draw, test)
+def _test_shift(G, cfg, n, x, a):
+    fx, fxa = G(x, x + a[..., None])
+    values = {"value_before": fx, "value_after": fxa, "expected_after": fx + a}
+    return np.abs(fxa - fx - a) > cfg.tol, values
 
 
-CHECKS = {
-    "monotone": check_monotonicity,
-    "weakly-monotone": check_weak_monotonicity,
-    "shift-invariant": check_shift_invariance,
-    "homogeneous": check_homogeneity,
-    "idempotent": check_idempotency,
-    "averaging": check_averaging,
-    "internal": check_internality,
-}
+def _draw_scale(U, n, box, i, F, cfg):
+    x = _sample_x(U, n, box)
+    lam = _uniform(U[:, -1], 0.05, 10.0)
+    top = np.abs(x).max(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return x, np.where(top > 0, np.minimum(lam, F.domain.hi / top), lam)
+
+
+def _test_scale(G, cfg, n, x, lam):
+    fx, flx = G(x, lam[..., None] * x)
+    values = {"value": fx, "scaled_value": flx, "expected": lam * fx}
+    return np.abs(flx - lam * fx) > cfg.tol * np.maximum(1.0, lam), values
+
+
+def _draw_t(U, n, box, i, F, cfg):
+    # t is uniform like a point's first coordinate; its row's other
+    # columns go unused
+    return (_uniform(U[:, 0], box.lo, box.hi),)
+
+
+def _test_idempotent(G, cfg, n, t):
+    (ft,) = G(np.repeat(t[..., None], n, axis=-1))
+    return np.abs(ft - t) > cfg.tol, {"value": ft}
+
+
+def _test_averaging(G, cfg, n, x):
+    (fx,) = G(x)
+    return (fx < x.min(axis=-1) - cfg.tol) | (fx > x.max(axis=-1) + cfg.tol), {"value": fx}
+
+
+def _test_internal(G, cfg, n, x):
+    (fx,) = G(x)
+    return np.abs(x - fx[..., None]).min(axis=-1) > cfg.tol, {"value": fx}
+
+
+CHECKS = {prop.name: prop for prop in (
+    # x <= y componentwise with F(y) < F(x) - tol
+    Property("monotone", ("x", "y"), lambda n: n + 2, _draw_monotone, _test_decrease),
+    # x, a > 0 with F(x + a*1) < F(x) - tol
+    Property("weakly-monotone", ("x", "a"), lambda n: 1, _draw_rise, _test_rise,
+             keep=lambda x, a: a > 0),
+    # x, a with |F(x + a*1) - F(x) - a| > tol
+    Property("shift-invariant", ("x", "a"), lambda n: 1, _draw_shift, _test_shift),
+    # x, lambda > 0 with |F(lambda*x) - lambda*F(x)| > tol*max(1, lambda)
+    Property("homogeneous", ("x", "lambda"), lambda n: 1, _draw_scale, _test_scale),
+    # t with |F(t, ..., t) - t| > tol
+    Property("idempotent", ("t",), lambda n: 0, _draw_t, _test_idempotent),
+    # x with F(x) outside [min(x), max(x)] by more than tol
+    Property("averaging", ("x",), lambda n: 0, _draw_x, _test_averaging),
+    # x with F(x) farther than tol from every x_i
+    Property("internal", ("x",), lambda n: 0, _draw_x, _test_internal),
+)}
+check_monotonicity = CHECKS["monotone"]
+check_weak_monotonicity = CHECKS["weakly-monotone"]
+check_shift_invariance = CHECKS["shift-invariant"]
+check_homogeneity = CHECKS["homogeneous"]
+check_idempotency = CHECKS["idempotent"]
+check_averaging = CHECKS["averaging"]
+check_internality = CHECKS["internal"]
 
 
 def check_mixture_sufficient_condition(
