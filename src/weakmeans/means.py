@@ -16,6 +16,7 @@ quasi-arithmetic (power) and Bajraktarevic (Gini) means, order statistics
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -357,9 +358,23 @@ def lehmer_mean_rows(X: ArrayLike, q: float) -> np.ndarray:
     c = X.max(axis=-1, keepdims=True) if q > 0 else X.min(axis=-1, keepdims=True)
     # c = 0 only for an all-zero row, or (q < 0) an absorbing zero: both give
     # +0, even from -0.0.  For q > 0 a zero adds 0**q = 0 to both sums.
-    y = np.divide(X, c, out=np.ones_like(X), where=c > 0)
-    yq = y**q
-    return (c[..., 0] + 0.0) * ((yq * y).sum(axis=-1) / yq.sum(axis=-1))
+    with np.errstate(over="ignore", invalid="ignore") if q < 0 else nullcontext():
+        y = np.divide(X, c, out=np.ones_like(X), where=c > 0)
+        yq = y**q
+        L = (c[..., 0] + 0.0) * ((yq * y).sum(axis=-1) / yq.sum(axis=-1))
+    if q < 0 and not np.isfinite(L).all():
+        wide = ~np.isfinite(L)
+        # x / c overflowed and 0 * inf gave NaN.  Scale sum x^(q+1) by s
+        # instead: c itself for q <= -1, else the largest x, where the factor
+        # s^(q+1) / c^q is a weighted geometric mean of s and c, taken in logs
+        x, c = X[wide], c[wide]
+        s = c if q <= -1 else x.max(axis=-1, keepdims=True)
+        with np.errstate(over="ignore"):
+            ratio = ((x / s) ** (q + 1)).sum(axis=-1) / ((x / c) ** q).sum(axis=-1)
+        if q > -1:
+            c = np.exp((q + 1) * np.log(s) - q * np.log(c))
+        L[wide] = c[:, 0] * ratio
+    return L
 
 
 def lehmer_max_args(q: float) -> float:

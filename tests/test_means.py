@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -213,6 +214,32 @@ def test_lehmer_infinite_exponent_limits():
     assert lehmer_mean([1, 2], -math.inf) == 1.0
     assert lehmer_mean([0.5, 3, 1], math.inf) == 3.0
     assert lehmer_mean([0.5, 3, 1], -math.inf) == 0.5
+
+
+def _log_sum(logs):
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(v - top) for v in logs))
+
+
+@pytest.mark.parametrize("q", [-1, -2, -3, -0.5, -0.25, -0.999, -1.5, -7.25])
+def test_lehmer_negative_exponent_across_the_float_range(q):
+    # x / min x overflows on these rows, and the mean is still finite
+    for x in [(1e-300, 1e300), (1e-300, 2e-300, 1e300, 5.0), (1e-200, 1e200, 3.0),
+              (1e-308, 1.5e308, 1.0, 1e-5)]:
+        if float(q).is_integer():
+            f = [Fraction(v) for v in x]
+            expected = float(sum(v ** (q + 1) for v in f) / sum(v**q for v in f))
+        else:
+            logs = [math.log(v) for v in x]
+            top, bottom = _log_sum([(q + 1) * v for v in logs]), _log_sum([q * v for v in logs])
+            expected = math.exp(top - bottom)
+        assert lehmer_mean(x, q) == pytest.approx(expected, rel=1e-12), x
+    assert lehmer_mean([1e-300, 1e300], -1) == 2e-300
+    assert lehmer_mean([1e-300, 1e300], -2) == 1e-300
+    assert lehmer_mean([1e-300, 1e300], -0.5) == 1.0
+    # only the rows that overflow are computed again
+    X = np.array([[1.0, 2.0], [1e-300, 1e300]])
+    assert lehmer_mean_rows(X, -1).tolist() == [lehmer_mean([1.0, 2.0], -1), 2e-300]
 
 
 def test_contraharmonic_mean_is_lehmer_one():

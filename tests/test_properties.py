@@ -114,6 +114,27 @@ def test_every_witness_replays_exactly(prop):
     assert {k: report.witness[k] for k in replayed} == replayed
 
 
+REPLAY_MEANS = [("lehmer", {"q": 2.0}), ("lehmer", {"q": -1.5}), ("mode", {}), ("shorth", {}),
+                ("lts", {}), ("gini", {"p": 1.0, "q": 2.0}), ("power", {"p": 3.0}),
+                ("owa", {"weights": [0.5, 0.3, 0.2]})]
+
+
+def test_each_witness_replays_through_its_own_record():
+    replayed = 0
+    for name, params in REPLAY_MEANS:
+        F = named_aggregator(name, **params)
+        G = lambda *points, F=F: [np.float64(F(x)) for x in points]
+        for prop, check in CHECKS.items():
+            for seed in range(3):
+                cfg = SamplerConfig(samples=300, seed=seed)
+                report = check(F, n=3, cfg=cfg)
+                if report.violated:
+                    case = [np.asarray(report.witness[f], dtype=float) for f in check.fields]
+                    assert check.test(G, cfg, 3, *case)[0], (name, prop, seed)
+                    replayed += 1
+    assert replayed >= 40  # 51 of the 168 reports are violated
+
+
 def test_probe_points_apply_to_every_property():
     report = check_monotonicity(
         named_aggregator("lehmer", q=1.0),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from weakmeans import FilterConfig, GrayImage, filter_image, filter_pixel, minimize_penalty
-from weakmeans import tonal
+from weakmeans import location, tonal
 from weakmeans.penalty import penalty_values
 from weakmeans.tonal import (
     BOUNDARIES,
@@ -61,6 +61,14 @@ def test_center_estimators():
     assert center_estimate(win, 0.9, cfg_mode) == pytest.approx(0.1)
     cfg_center = FilterConfig(estimator="center")
     assert center_estimate(win, 0.9, cfg_center) == 0.9
+
+
+def test_mode_bin_index_that_overflows_keeps_the_offset():
+    # (x - min x) / 1e-309 overflows from an offset of 0.2 on; as in
+    # location.mode, such an offset keeps its own value
+    win = np.array([0.2, 0.5, 0.9, 0.2, 0.7, 0.1, 0.3, 0.8, 0.6])
+    cfg = FilterConfig(estimator="mode", mode_quantize=1e-309)
+    assert center_estimate(win, 0.5, cfg) == location.mode(win, 1e-309) == 0.2
 
 
 def filter_configs(radii=(0, 1, 2), **fixed):
