@@ -1,10 +1,11 @@
 """Parametric mean families.
 
 Closed-form means on non-negative inputs: power, quasi-arithmetic, OWA,
-order statistics, Bajraktarevic, mixture, Gini and Lehmer means.  The
-Gini/Lehmer families are evaluated with explicit limit conventions at zero
-components (drop for positive exponent, absorb for negative, arithmetic at
-zero) instead of relying on 0**q arithmetic.
+order statistics, Bajraktarevic, mixture, Gini and Lehmer means.  One
+kernel, ``gini_mean_rows``, computes the Gini family: the power mean is its
+q = 0 case and the Lehmer mean its p = 1 case.  It follows the limit
+conventions at zero components stated on ``gini_mean`` instead of 0**q
+arithmetic, and stays finite on rows that span more than the float range.
 
 A ``*_rows`` function evaluates its mean on every row (last axis) of an
 array at once, and its scalar function is a one-row call of it.  The tests
@@ -197,44 +198,14 @@ def arithmetic_mean_rows(X: ArrayLike) -> np.ndarray:
 
 
 def power_mean(x: ArrayLike, p: float, weights: ArrayLike | None = None) -> float:
-    """Weighted power mean (sum w_i x_i^p)^(1/p).
-
-    p=0 is the weighted geometric mean (log-generator limit), p=+/-inf the
-    max/min.  Inputs must be non-negative; a zero component with positive
-    weight absorbs the mean to 0 for p <= 0.  Zero-weight components are
-    ignored, even in the zero conventions.
-    """
+    """Weighted power mean (sum w_i x_i^p)^(1/p) on [0, inf)^n: the Gini
+    mean at q = 0 (``gini_mean``, with its zero conventions).  p=0 is the
+    weighted geometric mean, p=+/-inf the max/min."""
     return float(power_mean_rows(_as_row(x), p, weights)[0])
 
 
 def power_mean_rows(X: ArrayLike, p: float, weights: ArrayLike | None = None) -> np.ndarray:
     return gini_mean_rows(X, p, 0.0, weights)  # the Gini mean at q = 0
-
-
-def _dominant(X: np.ndarray, part: np.ndarray, e: float) -> np.ndarray:
-    """The component of each row that dominates x^e among those in ``part``:
-    the largest for e > 0, else the smallest (kept as an (..., 1) column)."""
-    if e > 0:
-        return np.where(part, X, -np.inf).max(axis=-1, keepdims=True)
-    return np.where(part, X, np.inf).min(axis=-1, keepdims=True)
-
-
-def _power_rows(X: np.ndarray, p: float, W: np.ndarray) -> np.ndarray:
-    """``power_mean`` of every row of X under normalized weights W (of a
-    shape that broadcasts to X's); a component of weight 0 takes no part.
-    Homogeneity: a row is rescaled by the component c that dominates x^p,
-    so that no power overflows or underflows to a zero sum."""
-    part = W > 0
-    c = _dominant(X, part, p)
-    if math.isinf(p):
-        return c[..., 0]
-    if p == 0:  # c is the smallest component: a zero absorbs
-        logs = np.log(np.where(part & (X > 0), X, 1.0))
-        return np.where(c[..., 0] > 0, np.exp((W * logs).sum(axis=-1)), 0.0)
-    # c = 0 only for an all-zero row, or (p < 0) a zero with positive
-    # weight, which absorbs: both give +0, also where that zero is -0.0
-    Y = np.divide(X, c, out=np.ones_like(X), where=part & (c > 0))
-    return (c[..., 0] + 0.0) * (W * Y**p).sum(axis=-1) ** (1.0 / p)
 
 
 def quasi_arithmetic_mean(
@@ -313,11 +284,15 @@ def generalized_mixture_mean(
 def gini_mean(
     x: ArrayLike, p: float, q: float, weights: ArrayLike | None = None
 ) -> float:
-    """Two-parameter Gini mean (sum w x^(p+q) / sum w x^q)^(1/p).
+    """Weighted Gini mean (sum w x^(p+q) / sum w x^q)^(1/p) on [0, inf)^n.
 
-    p=0 uses the log-generator limit.  Zero components with positive weight
-    follow the same limit conventions as the Lehmer mean: dropped for q>0,
-    absorbing for q<0.  Zero-weight components are ignored.
+    The power mean is its q = 0 case and the Lehmer mean its p = 1 case.
+    p = 0 is the log-generator limit exp(sum w x^q log x / sum w x^q); an
+    infinite q, or else an infinite p, gives the largest (+inf) or smallest
+    (-inf) component that takes part.  Zero components follow the limits:
+    a zero drops for q > 0 and absorbs the mean to 0 for q < 0, or for
+    q = 0 with p <= 0.  Zero-weight components take no part, even in these
+    conventions.
     """
     return float(gini_mean_rows(_as_row(x), p, q, weights)[0])
 
@@ -328,53 +303,60 @@ def gini_mean_rows(
     _check_exponent(p, "p")
     _check_exponent(q, "q")
     X = _require_nonnegative(_as_rows(X))
-    w = _norm_weights(weights, X.shape[-1])
-    if q == 0:
-        return _power_rows(X, p, w)
-    # weights w x^q, rescaled by the c that dominates x^q so they stay finite
-    part = w > 0
-    c = _dominant(X, part, q)
-    # c = 0 only for an all-zero row, or (q < 0) an absorbing zero: both
-    # give 0.  For q > 0 a zero gets weight 0**q = 0, which drops it.
-    V = w * np.divide(X, c, out=np.ones_like(X), where=part & (c > 0)) ** q
-    return np.where(c[..., 0] > 0, _power_rows(X, p, V / V.sum(axis=-1, keepdims=True)), 0.0)
+    w = 1.0
+    if weights is not None:
+        w = _norm_weights(weights, X.shape[-1])
+        X, w = X[..., w > 0], w[w > 0]
+    if p == 1 and q == 0 and weights is None:
+        return _mean(X)  # the arithmetic mean, finite also where its sum overflows
+    if math.isinf(q):
+        p = 1.0  # every p gives the largest or smallest component, and p = 1 exactly
+    # homogeneity: rescale by the component c that dominates x^q (x^p at
+    # q = 0).  c = 0 only for an all-zero row or an absorbing zero: both give
+    # +0, even from -0.0.  For q > 0 a zero gets weight 0**q = 0, which drops it
+    e = q if q != 0 else p
+    c = X.max(axis=-1, keepdims=True) if e > 0 else X.min(axis=-1, keepdims=True)
+    if math.isinf(p):  # the largest or smallest component that takes part
+        G = X.max(axis=-1) if p > 0 else np.where(X > 0, X, np.inf).min(axis=-1)
+        return np.where(c[..., 0] > 0, G, c[..., 0] if q == 0 else 0.0)
+    safe = e > 0 and p >= 0  # then 0 <= x / c <= 1 and no power overflows
+    with nullcontext() if safe else np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        y = np.divide(X, c, out=np.ones_like(X), where=c > 0)
+        yq = y**q if weights is None else w * y**q
+        if p == 0:
+            logs = np.log(np.where(X > 0, X, 1.0))
+            return np.where(c[..., 0] > 0, np.exp((yq * logs).sum(axis=-1) / yq.sum(axis=-1)), 0.0)
+        r = (yq * (y if p == 1 else y**p)).sum(axis=-1) / yq.sum(axis=-1)
+        G = (c[..., 0] + 0.0) * (r if p == 1 else r ** (1.0 / p))
+        if not safe:
+            # a row spanning more than the float range overflowed x / c or a power of it
+            wide = ~(np.isfinite(r) & np.isfinite(G))
+            if wide.any():
+                G[wide] = _wide_rows(X[wide], c[wide], p, q, w)
+    return G
+
+
+def _wide_rows(X: np.ndarray, t: np.ndarray, p: float, q: float, w: np.ndarray | float) -> np.ndarray:
+    """``gini_mean_rows`` of rows X, with t the component of each that
+    dominates x^q: sum w x^(p+q) is scaled by its own dominant component s,
+    and where s is not t the factor s^((p+q)/p) / t^(q/p) is taken in logs."""
+    s = (X.max(axis=-1, keepdims=True) if p + q > 0
+         else np.where(X > 0, X, np.inf).min(axis=-1, keepdims=True))
+    A = np.where(X > 0, w * (X / s) ** (p + q), 0.0)  # zeros reach here only for q > 0: they drop
+    B = w * (X / t) ** q
+    scale = np.where(s == t, t, np.exp(((p + q) * np.log(s) - q * np.log(t)) / p))
+    return scale[:, 0] * (A.sum(axis=-1) / B.sum(axis=-1)) ** (1.0 / p)
 
 
 def lehmer_mean(x: ArrayLike, q: float) -> float:
-    """Lehmer mean sum x^(q+1) / sum x^q on [0, inf)^n.
-
-    Zero components are handled as limits: neutral for q>0, absorbing for
-    q<0; q=0 is the arithmetic mean.
-    """
+    """Lehmer mean sum x^(q+1) / sum x^q on [0, inf)^n: the Gini mean at
+    p = 1 (``gini_mean``, with its zero conventions), and at q = 0 the
+    arithmetic mean."""
     return float(lehmer_mean_rows(_as_row(x), q)[0])
 
 
 def lehmer_mean_rows(X: ArrayLike, q: float) -> np.ndarray:
-    _check_exponent(q, "q")
-    X = _require_nonnegative(_as_rows(X))
-    if q == 0:
-        return _mean(X)
-    # homogeneity: rescale by the component c that dominates x^q
-    c = X.max(axis=-1, keepdims=True) if q > 0 else X.min(axis=-1, keepdims=True)
-    # c = 0 only for an all-zero row, or (q < 0) an absorbing zero: both give
-    # +0, even from -0.0.  For q > 0 a zero adds 0**q = 0 to both sums.
-    with np.errstate(over="ignore", invalid="ignore") if q < 0 else nullcontext():
-        y = np.divide(X, c, out=np.ones_like(X), where=c > 0)
-        yq = y**q
-        L = (c[..., 0] + 0.0) * ((yq * y).sum(axis=-1) / yq.sum(axis=-1))
-    if q < 0 and not np.isfinite(L).all():
-        wide = ~np.isfinite(L)
-        # x / c overflowed and 0 * inf gave NaN.  Scale sum x^(q+1) by s
-        # instead: c itself for q <= -1, else the largest x, where the factor
-        # s^(q+1) / c^q is a weighted geometric mean of s and c, taken in logs
-        x, c = X[wide], c[wide]
-        s = c if q <= -1 else x.max(axis=-1, keepdims=True)
-        with np.errstate(over="ignore"):
-            ratio = ((x / s) ** (q + 1)).sum(axis=-1) / ((x / c) ** q).sum(axis=-1)
-        if q > -1:
-            c = np.exp((q + 1) * np.log(s) - q * np.log(c))
-        L[wide] = c[:, 0] * ratio
-    return L
+    return gini_mean_rows(X, 1.0, q)
 
 
 def lehmer_max_args(q: float) -> float:

@@ -221,25 +221,45 @@ def _log_sum(logs):
     return top + math.log(math.fsum(math.exp(v - top) for v in logs))
 
 
+# rows over which x / max x underflows or x / min x overflows
+FLOAT_RANGE_ROWS = [(1e-300, 1e300), (1e-300, 2e-300, 1e300, 5.0), (1e-200, 1e200, 3.0),
+                    (1e-308, 1.5e308, 1.0, 1e-5)]
+
+
+def _gini_reference(x, p, q):
+    """(sum x^(p+q) / sum x^q)^(1/p) for positive x: exact sums of fractions
+    for integer q and p = +-1, else a log-sum."""
+    if p in (1, -1) and float(q).is_integer():
+        f = [Fraction(v) for v in x]
+        ratio = sum(v ** (p + q) for v in f) / sum(v**q for v in f)
+        return float(ratio if p == 1 else 1 / ratio)
+    logs = [math.log(v) for v in x]
+    return math.exp((_log_sum([(p + q) * v for v in logs]) - _log_sum([q * v for v in logs])) / p)
+
+
 @pytest.mark.parametrize("q", [-1, -2, -3, -0.5, -0.25, -0.999, -1.5, -7.25])
 def test_lehmer_negative_exponent_across_the_float_range(q):
-    # x / min x overflows on these rows, and the mean is still finite
-    for x in [(1e-300, 1e300), (1e-300, 2e-300, 1e300, 5.0), (1e-200, 1e200, 3.0),
-              (1e-308, 1.5e308, 1.0, 1e-5)]:
-        if float(q).is_integer():
-            f = [Fraction(v) for v in x]
-            expected = float(sum(v ** (q + 1) for v in f) / sum(v**q for v in f))
-        else:
-            logs = [math.log(v) for v in x]
-            top, bottom = _log_sum([(q + 1) * v for v in logs]), _log_sum([q * v for v in logs])
-            expected = math.exp(top - bottom)
-        assert lehmer_mean(x, q) == pytest.approx(expected, rel=1e-12), x
+    for x in FLOAT_RANGE_ROWS:
+        assert lehmer_mean(x, q) == pytest.approx(_gini_reference(x, 1, q), rel=1e-12), x
     assert lehmer_mean([1e-300, 1e300], -1) == 2e-300
     assert lehmer_mean([1e-300, 1e300], -2) == 1e-300
     assert lehmer_mean([1e-300, 1e300], -0.5) == 1.0
     # only the rows that overflow are computed again
     X = np.array([[1.0, 2.0], [1e-300, 1e300]])
     assert lehmer_mean_rows(X, -1).tolist() == [lehmer_mean([1.0, 2.0], -1), 2e-300]
+
+
+@pytest.mark.parametrize("p,q", [(3, -2), (2, -0.5), (0.5, -1.5), (1.5, -3), (-1, -1), (-1, 0.5), (-3, 1),
+                                 (-2, 1.5), (-1, 1), (-1, 0), (-2, 0), (-0.5, 0)])
+def test_gini_family_across_the_float_range(p, q):
+    # q < 0 with p + q of either sign, q > 0 with p + q <= 0, and p < 0 at q = 0
+    for x in FLOAT_RANGE_ROWS:
+        expected = _gini_reference(x, p, q)
+        assert gini_mean(x, p, q) == pytest.approx(expected, rel=1e-12), x
+        if q == 0:
+            assert power_mean(x, p) == gini_mean(x, p, q)
+    X = np.array([[1.0, 2.0, 4.0], [1e-300, 1e300, 5.0], [1e-200, 1e200, 3.0]])
+    np.testing.assert_array_equal(gini_mean_rows(X, p, q), [gini_mean(x, p, q) for x in X])
 
 
 def test_contraharmonic_mean_is_lehmer_one():
@@ -376,8 +396,9 @@ def test_user_callable_means_refuse_non_finite_results():
 
 inf = math.inf
 # literal values of the scalar means at their edges: one value, all zeros, an
-# absorbing zero (p <= 0, q < 0), zero weights, infinite exponents and signed
+# absorbing zero (p <= 0, q < 0), zero weights, infinite exponents, signed
 # zeros (a zero mean is +0 unless a max, min or order statistic picks -0.0)
+# and rows that span more than the float range
 SCALAR_EDGES = [
     (power_mean, ([2.5], 2.0), 2.5),
     (power_mean, ([2.5], -inf), 2.5),
@@ -403,6 +424,7 @@ SCALAR_EDGES = [
     (power_mean, ([-0.0], inf), -0.0),
     (power_mean, ([-0.0], -inf), -0.0),
     (power_mean, ([-0.0, 3.0], 1.0, [1.0, 0.0]), 0.0),
+    (power_mean, ([1e-300, 1e300], -1.0), 2e-300),
     (lehmer_mean, ([2.5], 2.0), 2.5),
     (lehmer_mean, ([2.5], -inf), 2.5),
     (lehmer_mean, ([0.0, 0.0], 2.0), 0.0),
@@ -422,7 +444,7 @@ SCALAR_EDGES = [
     (gini_mean, ([2.5], 1.0, 2.0), 2.5),
     (gini_mean, ([0.0, 0.0], 1.0, 2.0), 0.0),
     (gini_mean, ([0.0, 0.0], 1.0, -2.0), 0.0),
-    (gini_mean, ([0.0, 2.0, 4.0], 1.0, 1.0), 3.333333333333333),
+    (gini_mean, ([0.0, 2.0, 4.0], 1.0, 1.0), 3.3333333333333335),
     (gini_mean, ([0.0, 2.0, 4.0], 1.0, -2.0), 0.0),
     (gini_mean, ([0.0, 2.0, 4.0], 0.0, 2.0), 3.482202253184496),
     (gini_mean, ([0.0, 2.0, 4.0], -1.0, 0.0), 0.0),
@@ -436,6 +458,11 @@ SCALAR_EDGES = [
     (gini_mean, ([-0.0], 2.0, 0.0), 0.0),
     (gini_mean, ([-0.0], 1.0, 2.0), 0.0),
     (gini_mean, ([-0.0], 1.0, -2.0), 0.0),
+    (gini_mean, ([1e-300, 1e300], 1.0, -0.5), 1.0),
+    (gini_mean, ([1e-300, 1e300], -1.0, 0.5), 1.0),
+    (gini_mean, ([0.0, 1e-300, 1e300], -1.0, 0.5), 1.0),
+    (gini_mean, ([0.0, 1e-300, 1e300], -1.0, 0.5, [5.0, 1.0, 1.0]), 1.0),
+    (gini_mean, ([1e-300, 1e300, 1.0], -1.0, 0.5, [1.0, 1.0, 0.0]), 1.0),
     (median, ([2.5],), 2.5),
     (median, ([0.0, 0.0],), 0.0),
     (median, ([-0.0],), -0.0),
