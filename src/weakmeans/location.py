@@ -12,6 +12,7 @@ a plain loop over the half-sample windows.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,14 +30,25 @@ def mode(x: ArrayLike, quantize: float | None = None) -> float:
     ``quantize`` optionally snaps values to a grid of that step before
     counting (mode is degenerate on continuous samples).
     """
-    v = _as_input(x)
+    k, scale = _as_input(x), 1.0
     if quantize is not None:
         _check_positive(quantize, "quantize")
-        with np.errstate(over="ignore"):
-            snapped = np.round(v / quantize) * quantize
-        # a value too large to snap is already on the grid at its own scale
-        v = np.where(np.isfinite(snapped), snapped, v)
-    return float(sorted_mode_rows(np.sort(v)))
+        k, scale = _snap(k, quantize)
+    return float(scale * sorted_mode_rows(np.sort(k)))
+
+
+def _snap(V: np.ndarray, step: float) -> tuple[np.ndarray, float]:
+    """V snapped to the grid of step ``step``, as values k and a scale with
+    k * scale the snapped values: the bin indices round(V / step) and
+    ``step`` where every index is finite (one scalar test), else
+    step * round(V / step) and 1, where a value whose bin index overflows is
+    already on the grid at its own scale and keeps its own value.  Snapping
+    keeps the order of V, so sorted rows stay sorted."""
+    if math.isfinite(float(np.abs(V).max()) / step):
+        return np.round(V / step), step
+    with np.errstate(over="ignore"):
+        k = np.round(V / step)
+    return np.where(np.isfinite(k), step * k, V), 1.0
 
 
 def sorted_mode_rows(S: np.ndarray) -> np.ndarray:

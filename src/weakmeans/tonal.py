@@ -15,7 +15,6 @@ whole-image path with.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -102,14 +101,8 @@ def _center_rows(x: np.ndarray, center: np.ndarray, cfg: FilterConfig) -> np.nda
         return location.shorth_rows(x)
     # mode: bins anchored at the row minimum (shift-invariant); sorted values give sorted bins
     s = np.sort(x, axis=1)
-    step = cfg.mode_quantize
-    d = s - s[:, :1]
-    if math.isfinite(float(d[:, -1].max(initial=0.0)) / step):
-        return s[:, 0] + step * location.sorted_mode_rows(np.round(d / step))
-    # as in location.mode, an offset whose bin index overflows keeps its own value
-    with np.errstate(over="ignore"):
-        k = np.round(d / step)
-    return s[:, 0] + location.sorted_mode_rows(np.where(np.isfinite(k), step * k, d))
+    k, scale = location._snap(s - s[:, :1], cfg.mode_quantize)
+    return s[:, 0] + scale * location.sorted_mode_rows(k)
 
 
 def _huber(t: np.ndarray, delta: float) -> np.ndarray:
